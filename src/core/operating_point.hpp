@@ -12,9 +12,17 @@
 // the eqs. (1)-(7) machinery consumes, so every existing prediction,
 // scenario, and sensitivity tool works per point unchanged.
 //
-// The continuous DvfsModel of dvfs.hpp is now a *generator* of
-// operating points (see dvfs_operating_point / dvfs_ladder); the policy
-// engine (policy.hpp) evaluates execution plans across a table of them.
+// The continuous DvfsModel below is a *generator* of operating points
+// (dvfs_operating_point / dvfs_ladder); the policy engine (policy.hpp)
+// evaluates execution plans across a table of them.
+//
+// DVFS also serves as the alternative power-reduction mechanism of the
+// paper's §V-D: there a power target is met by *capping* (throttled
+// issue rates, per-op costs unchanged), citing Rountree et al.'s
+// "Beyond DVFS". compare_cap_vs_dvfs() contrasts the cap with
+// voltage-frequency scaling, answering a question the paper leaves
+// implicit: when does throttling beat down-clocking, and by how much,
+// as a function of intensity?
 
 #include <cstddef>
 #include <span>
@@ -57,7 +65,7 @@ struct OperatingPoint {
 
 /// The dynamic-energy multiplier of the standard leakage model:
 /// leakage + (1 - leakage) * s^2. Shared by the OperatingPoint
-/// generators and the legacy apply_dvfs() so the two stay bit-identical.
+/// generators and the platform ladders.
 [[nodiscard]] double dvfs_energy_scale(double leakage_fraction,
                                        double s) noexcept;
 
@@ -93,5 +101,68 @@ struct OperatingPointTable {
 /// Machines for every point of a table, in table order.
 [[nodiscard]] std::vector<MachineParams> machines_at_points(
     const MachineParams& base, std::span<const OperatingPoint> points);
+
+/// The continuous leakage model of voltage-frequency scaling: slowing
+/// the clock by s scales the dynamic part of per-op energy by ~s^2
+/// (V roughly tracks f), while leakage and constant power do not scale.
+struct DvfsModel {
+  /// Fraction of per-op energy that does NOT scale with V^2 (leakage,
+  /// short-circuit, uncore).
+  double leakage_fraction = 0.3;
+
+  /// Whether the memory system shares the scaled clock domain. Discrete
+  /// DRAM usually does not; on-chip scratchpads often do.
+  bool scale_memory = false;
+
+  /// Lowest usable frequency scale (voltage floor).
+  double min_scale = 0.2;
+
+  void validate() const;
+};
+
+/// The discrete operating point this model generates at frequency scale
+/// s in [min_scale, 1]: energy_scale = leakage + (1 - leakage) s^2,
+/// label "<s>x". pi1/idle are left at their defaults (inherit / 0);
+/// platform tables supply their own. The machine at scale s is
+/// apply_operating_point(m, dvfs_operating_point(model, s)): rates
+/// scale by s, dynamic per-op energy by ~s^2, pi1 and delta_pi
+/// unchanged.
+[[nodiscard]] OperatingPoint dvfs_operating_point(const DvfsModel& model,
+                                                  double s);
+
+/// A table of `count` (>= 2) evenly spaced points from min_scale to 1.
+/// `idle_watts` is the park power stamped on every point.
+[[nodiscard]] OperatingPointTable dvfs_ladder(const DvfsModel& model,
+                                              std::size_t count,
+                                              double idle_watts = 0.0);
+
+/// Largest frequency scale whose worst-case average power (over all
+/// intensities) fits under `target_watts`. Returns 1.0 when no scaling is
+/// needed; throws std::invalid_argument when the target is below what
+/// even min_scale reaches.
+[[nodiscard]] double dvfs_scale_for_power(const MachineParams& m,
+                                          const DvfsModel& model,
+                                          double target_watts);
+
+/// Head-to-head at one intensity: meet `target_watts` of worst-case node
+/// power by capping (delta_pi reduced) vs by DVFS.
+struct PowerMechanismComparison {
+  double target_watts = 0.0;
+  double intensity = 0.0;
+  double cap_performance = 0.0;   ///< flop/s under the reduced cap
+  double cap_efficiency = 0.0;    ///< flop/J
+  double dvfs_performance = 0.0;  ///< flop/s at the reduced frequency
+  double dvfs_efficiency = 0.0;
+  double frequency_scale = 0.0;   ///< the s DVFS needed
+  /// dvfs_efficiency / cap_efficiency: > 1 where down-clocking saves
+  /// energy that throttling cannot.
+  [[nodiscard]] double efficiency_advantage() const noexcept {
+    return dvfs_efficiency / cap_efficiency;
+  }
+};
+
+[[nodiscard]] PowerMechanismComparison compare_cap_vs_dvfs(
+    const MachineParams& m, const DvfsModel& model, double target_watts,
+    double intensity);
 
 }  // namespace archline::core

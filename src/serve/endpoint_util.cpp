@@ -1,5 +1,6 @@
 #include "serve/endpoint_util.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -171,17 +172,29 @@ core::Workload resolve_workload(const Json& req) {
   if (!(flops > 0.0)) bad("\"flops\" must be positive");
   const Json* bytes = req.find("bytes");
   const Json* intensity = req.find("intensity");
+  core::Workload w;
   if (bytes) {
     if (!bytes->is_number() || !(bytes->as_number() > 0.0))
       bad("\"bytes\" must be a positive number");
-    return core::Workload{.flops = flops, .bytes = bytes->as_number()};
-  }
-  if (intensity) {
+    w = core::Workload{.flops = flops, .bytes = bytes->as_number()};
+  } else if (intensity) {
     if (!intensity->is_number() || !(intensity->as_number() > 0.0))
       bad("\"intensity\" must be a positive number");
-    return core::Workload::from_intensity(flops, intensity->as_number());
+    w = core::Workload::from_intensity(flops, intensity->as_number());
+  } else {
+    bad("need \"bytes\" or \"intensity\"");
   }
-  bad("need \"bytes\" or \"intensity\"");
+  const double i = w.intensity();
+  if (!std::isfinite(w.bytes) || !(w.bytes > 0.0) || !std::isfinite(i) ||
+      !(i > 0.0))
+    bad("\"flops\" with \"bytes\" or \"intensity\" gives no finite "
+        "positive workload");
+  return w;
+}
+
+void require_finite_prediction(std::initializer_list<double> values) {
+  for (const double v : values)
+    if (!std::isfinite(v)) bad("the prediction is not a finite number");
 }
 
 core::Metric parse_metric(const Json& req) {
@@ -206,10 +219,12 @@ void add_prediction(Json& out, const core::MachineParams& m,
                     const core::Workload& w) {
   const double t = core::time(m, w);
   const double e = core::energy(m, w);
+  const double p = core::avg_power(m, w);
+  require_finite_prediction({t, e, p, w.flops / t, w.flops / e});
   out.set("intensity", w.intensity());
   out.set("time_s", t);
   out.set("energy_j", e);
-  out.set("avg_power_w", core::avg_power(m, w));
+  out.set("avg_power_w", p);
   out.set("performance_flops", w.flops / t);
   out.set("efficiency_flops_per_joule", w.flops / e);
   out.set("regime", core::regime_name(core::regime(m, w)));

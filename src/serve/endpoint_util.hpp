@@ -5,6 +5,7 @@
 // lookups and comparisons use std::string_view into the in-situ-parsed
 // request, and heap strings are built only when raising an error.
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 
@@ -70,8 +71,15 @@ struct RequestError {
 [[nodiscard]] fit::online::Sample parse_observation_tuple(const Json& row,
                                                           std::size_t index);
 
-/// Workload from "flops" plus either "bytes" or "intensity".
+/// Workload from "flops" plus either "bytes" or "intensity"; a
+/// bad_request when the pair leaves the doubles (flops 1e300 with
+/// intensity 1e-300 has no finite byte count).
 [[nodiscard]] core::Workload resolve_workload(const Json& req);
+
+/// bad_request unless every number of a prediction is finite: an
+/// extreme inline machine can overflow eqs. (1)-(7) even for a finite
+/// workload, and an ok:true reply never carries a non-finite number.
+void require_finite_prediction(std::initializer_list<double> values);
 
 [[nodiscard]] core::Metric parse_metric(const Json& req);
 

@@ -68,6 +68,10 @@ Json do_predict_batch(const EndpointContext& ctx) {
 
   core::PredictionBatch pred;
   core::predict_batch(m, batch, pred);
+  for (std::size_t i = 0; i < batch.size(); ++i)
+    require_finite_prediction({pred.time_s[i], pred.energy_j[i],
+                               pred.avg_power_w[i], pred.performance[i],
+                               pred.efficiency[i]});
 
   // Render the COMPLETE reply into one string and return it as a raw
   // node: handle_line moves the payload straight into the reply body,

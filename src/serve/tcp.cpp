@@ -182,8 +182,7 @@ class ShardLoop {
  private:
   void update_interest(Conn& c) {
     const std::uint32_t want =
-        (c.half_closed ? 0u : EPOLLIN) | (has_outbound(c) ? 0u : 0u) |
-        (has_outbound(c) ? EPOLLOUT : 0u);
+        (c.half_closed ? 0u : EPOLLIN) | (has_outbound(c) ? EPOLLOUT : 0u);
     if (want == c.interest) return;
     epoll_event mod{};
     mod.events = want;
@@ -258,6 +257,10 @@ class ShardLoop {
         iov[static_cast<std::size_t>(cnt++)] =
             iovec{const_cast<char*>(&kNewline), 1};
       }
+      // Stamped before the syscall: once the bytes are out, the peer
+      // may read them and move a simulated clock on before sendv()
+      // returns, and that time must count as idle.
+      const Clock::time_point sent_at = clock_.now();
       const ssize_t n = ops_.sendv(c.fd, iov.data(), cnt);
       if (n < 0) {
         if (errno == EINTR) continue;
@@ -266,7 +269,7 @@ class ShardLoop {
         return false;
       }
       if (n == 0) break;  // defensive: no progress, no spin
-      c.last_activity = clock_.now();
+      c.last_activity = sent_at;
       consume_outbound(c, static_cast<std::size_t>(n));
     }
     return true;

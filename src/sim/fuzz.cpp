@@ -16,11 +16,41 @@ namespace {
 /// The protocol's stable machine-readable failure codes (protocol.cpp,
 /// endpoint_util.cpp, endpoints_*.cpp). Anything else in an
 /// {"ok":false} reply is a contract violation the fuzzer must report.
-constexpr std::array<std::string_view, 9> kKnownErrorCodes = {
-    "bad_request",   "parse_error", "unknown_platform",
-    "unsupported",   "too_large",   "fit_failed",
-    "internal",      "overloaded",  "deadline_exceeded",
+constexpr std::array<std::string_view, 10> kKnownErrorCodes = {
+    "bad_request", "parse_error", "unknown_platform",  "unsupported",
+    "too_large",   "fit_failed",  "infeasible",        "internal",
+    "overloaded",  "deadline_exceeded",
 };
+
+/// The numbers of a prediction record (add_prediction(), predict_batch
+/// rows, policy plans): an ok:true reply must carry them finite, and a
+/// non-finite double renders as null.
+constexpr std::array<std::string_view, 6> kPredictionFields = {
+    "intensity", "time_s", "energy_j", "avg_power_w", "performance_flops",
+    "efficiency_flops_per_joule",
+};
+
+/// The first prediction field rendered null in any object of `v` that
+/// holds a "time_s" member; empty when there is none. The fit reply's
+/// uncapped "delta_pi":null is not a prediction field.
+[[nodiscard]] std::string_view null_prediction_field(const serve::Json& v) {
+  if (v.is_array()) {
+    for (const serve::Json& item : v.as_array())
+      if (const auto field = null_prediction_field(item); !field.empty())
+        return field;
+    return {};
+  }
+  if (!v.is_object()) return {};
+  const bool prediction = v.find("time_s") != nullptr;
+  for (const auto& [key, member] : v.as_object()) {
+    if (prediction && member.is_null())
+      for (const std::string_view field : kPredictionFields)
+        if (key == field) return field;
+    if (const auto field = null_prediction_field(member); !field.empty())
+      return field;
+  }
+  return {};
+}
 
 [[nodiscard]] bool known_code(std::string_view code) noexcept {
   for (const std::string_view known : kKnownErrorCodes)
@@ -188,7 +218,12 @@ bool reply_acceptable(std::string_view reply, std::string* why) {
   const serve::Json* ok = parsed.find("ok");
   if (!ok || !ok->is_bool())
     return fail("reply lacks a boolean \"ok\" member");
-  if (ok->as_bool()) return true;
+  if (ok->as_bool()) {
+    if (const auto field = null_prediction_field(parsed); !field.empty())
+      return fail("ok:true prediction with non-finite \"" +
+                  std::string(field) + "\"");
+    return true;
+  }
   const serve::Json* error = parsed.find("error");
   if (!error || !error->is_string())
     return fail("error reply lacks a string \"error\" member");

@@ -71,7 +71,9 @@ struct FuzzReport {
                                       stats::Rng& rng, int max_mutations);
 
 /// Is `reply` an acceptable protocol response? Valid one-line JSON
-/// object with a boolean "ok"; when false, "error" must be one of the
+/// object with a boolean "ok"; when true, no prediction field (time,
+/// energy, power, performance, efficiency, intensity) is a non-finite
+/// number rendered as null; when false, "error" must be one of the
 /// protocol's stable codes. On rejection fills `why` (may be null).
 [[nodiscard]] bool reply_acceptable(std::string_view reply,
                                     std::string* why);

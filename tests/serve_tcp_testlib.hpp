@@ -1,132 +1,25 @@
 #pragma once
-// Shared fixtures for TCP transport tests (test_serve_tcp.cpp,
-// test_sim_fault.cpp): a Server + TcpListener + event-loop thread
-// bundle on an ephemeral port, and blocking client-side socket
-// helpers. Linux-only, like the transport itself.
+// gtest glue over sim/loopback.hpp for the TCP transport tests: the
+// shared loopback client functions, and the loopback server fixture
+// with its open() checked as a test expectation.
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <memory>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "serve/server.hpp"
-#include "serve/tcp.hpp"
+#include "sim/loopback.hpp"
 
 namespace serve_tcp_testlib {
 
-/// Server + listener + event-loop thread with ephemeral port; tears
-/// down gracefully (stop, join, shutdown) so every test also exercises
-/// the drain path.
-class TcpTransport {
- public:
-  TcpTransport(archline::serve::ServerOptions server_options,
-               archline::serve::TcpOptions tcp_options) {
-    server_ = std::make_unique<archline::serve::Server>(server_options);
-    server_->start();
-    tcp_options.port = 0;  // ephemeral
-    listener_ = std::make_unique<archline::serve::TcpListener>(*server_,
-                                                               tcp_options);
-    std::string error;
-    opened_ = listener_->open(&error);
-    EXPECT_TRUE(opened_) << error;
-    if (opened_)
-      loop_ = std::thread([this] { listener_->run(stop_); });
+using archline::sim::connect_to;
+using archline::sim::read_lines;
+using archline::sim::send_all;
+using archline::sim::wait_for_eof;
+
+struct TcpTransport : archline::sim::LoopbackServer {
+  TcpTransport(const archline::serve::ServerOptions& server_options,
+               const archline::serve::TcpOptions& tcp_options)
+      : LoopbackServer(server_options, tcp_options) {
+    EXPECT_TRUE(opened()) << error();
   }
-
-  ~TcpTransport() {
-    stop_.store(true, std::memory_order_release);
-    if (loop_.joinable()) loop_.join();
-    server_->shutdown();
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return listener_->port(); }
-  [[nodiscard]] archline::serve::Server& server() { return *server_; }
-
- private:
-  std::unique_ptr<archline::serve::Server> server_;
-  std::unique_ptr<archline::serve::TcpListener> listener_;
-  std::atomic<bool> stop_{false};
-  std::thread loop_;
-  bool opened_ = false;
 };
-
-inline int connect_to(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
-    ::close(fd);
-    return -1;
-  }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
-}
-
-inline bool send_all(int fd, const std::string& data) {
-  const char* p = data.data();
-  std::size_t left = data.size();
-  while (left > 0) {
-    const ssize_t n = ::send(fd, p, left, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    left -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Reads newline-delimited responses until `count` arrived or the peer
-/// closed; returns what it got. Extracts at most `count` lines — extra
-/// buffered bytes stay in `carry` for a later call (pass the same
-/// string when splitting one pipelined reply across calls).
-inline std::vector<std::string> read_lines(int fd, std::size_t count,
-                                           std::string* carry = nullptr) {
-  std::vector<std::string> lines;
-  std::string local;
-  std::string& buffer = carry ? *carry : local;
-  char chunk[65536];
-  for (;;) {
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && lines.size() < count;
-         nl = buffer.find('\n', start)) {
-      lines.push_back(buffer.substr(start, nl - start));
-      start = nl + 1;
-    }
-    buffer.erase(0, start);
-    if (lines.size() >= count) break;
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
-  return lines;
-}
-
-/// recv() until EOF (or error); true when the peer closed cleanly.
-inline bool wait_for_eof(int fd) {
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n == 0) return true;
-    if (n < 0 && errno != EINTR) return false;
-  }
-}
 
 }  // namespace serve_tcp_testlib

@@ -1,6 +1,6 @@
 // Tests for the operating-point layer: point/table validation, the
-// apply transform, equivalence with the legacy continuous apply_dvfs()
-// path, ladder generation, and the per-platform default tables.
+// apply transform, ladder generation, the per-platform default tables,
+// the continuous DVFS generator and the cap-vs-DVFS comparison.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/dvfs.hpp"
 #include "core/operating_point.hpp"
 #include "core/roofline.hpp"
 #include "platforms/platform_db.hpp"
@@ -89,26 +88,6 @@ TEST(ApplyOperatingPoint, Pi1InheritVsOverride) {
   EXPECT_DOUBLE_EQ(co::apply_operating_point(m, p).pi1, 12.5);
   // delta_pi is an external limit, never a P-state property.
   EXPECT_DOUBLE_EQ(co::apply_operating_point(m, p).delta_pi, m.delta_pi);
-}
-
-TEST(ApplyOperatingPoint, MatchesLegacyApplyDvfsExactly) {
-  // apply_dvfs() is now a thin wrapper over the operating-point
-  // transform; the two must agree bit-for-bit so every pre-refactor
-  // DVFS result (bisection included) is reproduced.
-  const co::MachineParams m = titan();
-  const co::DvfsModel model{.leakage_fraction = 0.3, .scale_memory = false,
-                            .min_scale = 0.2};
-  for (const double s : {0.2, 0.35, 0.5, 0.77, 0.9, 1.0}) {
-    const co::MachineParams legacy = co::apply_dvfs(m, s, model);
-    const co::MachineParams via_point =
-        co::apply_operating_point(m, co::dvfs_operating_point(model, s));
-    EXPECT_EQ(legacy.tau_flop, via_point.tau_flop) << "s=" << s;
-    EXPECT_EQ(legacy.eps_flop, via_point.eps_flop) << "s=" << s;
-    EXPECT_EQ(legacy.tau_mem, via_point.tau_mem) << "s=" << s;
-    EXPECT_EQ(legacy.eps_mem, via_point.eps_mem) << "s=" << s;
-    EXPECT_EQ(legacy.pi1, via_point.pi1) << "s=" << s;
-    EXPECT_EQ(legacy.delta_pi, via_point.delta_pi) << "s=" << s;
-  }
 }
 
 TEST(DvfsOperatingPoint, RejectsOutOfRangeScale) {
@@ -285,6 +264,138 @@ TEST(DefaultOperatingPoints, MachineAtPointMatchesApply) {
   EXPECT_EQ(direct.pi1, via.pi1);
   EXPECT_THROW((void)spec.machine_at_point(spec.operating_points.size()),
                std::out_of_range);
+}
+
+// ---- the continuous DVFS generator and the cap-vs-DVFS comparison ----
+
+co::DvfsModel dvfs_model() {
+  return co::DvfsModel{.leakage_fraction = 0.3, .scale_memory = false,
+                       .min_scale = 0.2};
+}
+
+TEST(DvfsModel, ValidationRules) {
+  co::DvfsModel m = dvfs_model();
+  EXPECT_NO_THROW(m.validate());
+  m.leakage_fraction = 1.0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  m = dvfs_model();
+  m.min_scale = 0.0;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+  m = dvfs_model();
+  m.min_scale = 1.5;
+  EXPECT_THROW(m.validate(), std::invalid_argument);
+}
+
+TEST(ApplyDvfs, UnitScaleIsIdentity) {
+  const co::MachineParams m = titan();
+  const co::MachineParams s = co::apply_operating_point(
+      m, co::dvfs_operating_point(dvfs_model(), 1.0));
+  EXPECT_DOUBLE_EQ(s.tau_flop, m.tau_flop);
+  EXPECT_DOUBLE_EQ(s.eps_flop, m.eps_flop);
+  EXPECT_DOUBLE_EQ(s.tau_mem, m.tau_mem);
+}
+
+TEST(ApplyDvfs, HalfClockHalvesFlopRate) {
+  const co::MachineParams m = titan();
+  const co::MachineParams s = co::apply_operating_point(
+      m, co::dvfs_operating_point(dvfs_model(), 0.5));
+  EXPECT_DOUBLE_EQ(s.peak_flops(), 0.5 * m.peak_flops());
+  // Dynamic energy at s=0.5: 0.3 + 0.7 * 0.25 = 0.475 of original.
+  EXPECT_NEAR(s.eps_flop, 0.475 * m.eps_flop, 1e-18);
+}
+
+TEST(ApplyDvfs, MemoryUntouchedByDefault) {
+  const co::MachineParams s = co::apply_operating_point(
+      titan(), co::dvfs_operating_point(dvfs_model(), 0.5));
+  EXPECT_DOUBLE_EQ(s.tau_mem, titan().tau_mem);
+  EXPECT_DOUBLE_EQ(s.eps_mem, titan().eps_mem);
+}
+
+TEST(ApplyDvfs, MemoryScalesWhenRequested) {
+  co::DvfsModel m = dvfs_model();
+  m.scale_memory = true;
+  const co::MachineParams s = co::apply_operating_point(
+      titan(), co::dvfs_operating_point(m, 0.5));
+  EXPECT_DOUBLE_EQ(s.peak_bandwidth(), 0.5 * titan().peak_bandwidth());
+}
+
+TEST(ApplyDvfs, ConstantPowerUnchanged) {
+  const co::MachineParams s = co::apply_operating_point(
+      titan(), co::dvfs_operating_point(dvfs_model(), 0.4));
+  EXPECT_DOUBLE_EQ(s.pi1, titan().pi1);
+  EXPECT_DOUBLE_EQ(s.delta_pi, titan().delta_pi);
+}
+
+TEST(ApplyDvfs, ScaleOutOfRangeThrows) {
+  EXPECT_THROW((void)co::apply_operating_point(
+                   titan(), co::dvfs_operating_point(dvfs_model(), 0.1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)co::apply_operating_point(
+                   titan(), co::dvfs_operating_point(dvfs_model(), 1.1)),
+               std::invalid_argument);
+}
+
+TEST(DvfsScaleForPower, NoScalingWhenTargetGenerous) {
+  const co::MachineParams m = titan();
+  EXPECT_DOUBLE_EQ(
+      co::dvfs_scale_for_power(m, dvfs_model(), m.max_power() + 10), 1.0);
+}
+
+TEST(DvfsScaleForPower, MeetsTheTarget) {
+  const co::MachineParams m = titan();
+  const double target = m.pi1 + 0.6 * (m.max_power() - m.pi1);
+  const double s = co::dvfs_scale_for_power(m, dvfs_model(), target);
+  EXPECT_LT(s, 1.0);
+  EXPECT_GE(s, 0.2);
+  const co::MachineParams scaled = co::apply_operating_point(
+      m, co::dvfs_operating_point(dvfs_model(), s));
+  EXPECT_LE(scaled.max_power(), target * (1 + 1e-6));
+}
+
+TEST(DvfsScaleForPower, UnreachableTargetThrows) {
+  const co::MachineParams m = titan();
+  EXPECT_THROW(
+      (void)co::dvfs_scale_for_power(m, dvfs_model(), m.pi1 + 0.1),
+      std::invalid_argument);
+}
+
+TEST(CompareCapVsDvfs, CapWinsAtLowIntensity) {
+  // At bandwidth-bound intensities the cap barely throttles, while DVFS
+  // needlessly slows the (unthrottled) flop engine; cap performance must
+  // be at least as good.
+  const co::MachineParams m = titan();
+  const double target = m.pi1 + 0.6 * (m.max_power() - m.pi1);
+  const auto c = co::compare_cap_vs_dvfs(m, dvfs_model(), target, 0.25);
+  EXPECT_GE(c.cap_performance, c.dvfs_performance * 0.999);
+}
+
+TEST(CompareCapVsDvfs, DvfsCanWinEfficiencyInMidRange) {
+  // Around the balance point DVFS buys back per-flop energy via the V^2
+  // term; verify the advantage exists somewhere for the Xeon Phi (as the
+  // bench shows at I = 8).
+  const co::MachineParams m = pl::platform("Xeon Phi").machine();
+  const double target = m.pi1 + 0.85 * (m.max_power() - m.pi1);
+  const auto c = co::compare_cap_vs_dvfs(m, dvfs_model(), target, 8.0);
+  EXPECT_GT(c.efficiency_advantage(), 1.0);
+}
+
+TEST(CompareCapVsDvfs, TargetBelowPi1Throws) {
+  const co::MachineParams m = titan();
+  EXPECT_THROW(
+      (void)co::compare_cap_vs_dvfs(m, dvfs_model(), m.pi1 - 1.0, 1.0),
+      std::invalid_argument);
+}
+
+TEST(CompareCapVsDvfs, FieldsConsistent) {
+  const co::MachineParams m = titan();
+  const double target = m.pi1 + 0.7 * (m.max_power() - m.pi1);
+  const auto c = co::compare_cap_vs_dvfs(m, dvfs_model(), target, 4.0);
+  EXPECT_DOUBLE_EQ(c.target_watts, target);
+  EXPECT_DOUBLE_EQ(c.intensity, 4.0);
+  EXPECT_GT(c.cap_performance, 0.0);
+  EXPECT_GT(c.dvfs_performance, 0.0);
+  EXPECT_GT(c.frequency_scale, 0.0);
+  EXPECT_LE(c.frequency_scale, 1.0);
 }
 
 }  // namespace

@@ -69,6 +69,25 @@ TEST(ServeFuzz, ReplyValidatorAcceptsProtocolReplies) {
       R"({"ok":false,"error":"parse_error","message":"x"})", nullptr));
   EXPECT_TRUE(reply_acceptable(
       R"({"ok":false,"error":"deadline_exceeded"})", nullptr));
+  EXPECT_TRUE(reply_acceptable(
+      R"({"ok":false,"error":"infeasible","message":"x"})", nullptr));
+  // The uncapped fit's null cap is documented, not a prediction.
+  EXPECT_TRUE(reply_acceptable(
+      R"({"ok":true,"type":"fit","machine":{"delta_pi":null}})", nullptr));
+}
+
+TEST(ServeFuzz, ReplyValidatorRejectsNonFinitePredictions) {
+  std::string why;
+  EXPECT_FALSE(reply_acceptable(
+      R"({"ok":true,"type":"predict","intensity":1e-300,"time_s":null,)"
+      R"("energy_j":null,"avg_power_w":null,"regime":"power-cap"})",
+      &why));
+  EXPECT_EQ(why, "ok:true prediction with non-finite \"time_s\"");
+  EXPECT_FALSE(reply_acceptable(
+      R"({"ok":true,"type":"predict_batch","results":[)"
+      R"({"time_s":1,"energy_j":2},{"time_s":1,"energy_j":null}]})",
+      &why));
+  EXPECT_EQ(why, "ok:true prediction with non-finite \"energy_j\"");
 }
 
 TEST(ServeFuzz, ReplyValidatorRejectsContractViolations) {

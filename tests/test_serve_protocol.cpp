@@ -322,6 +322,37 @@ TEST(ServeProtocol, PredictBatchValidatesElements) {
       << parsed.string_or("message", "");
 }
 
+// flops 1e300 at intensity 1e-300 is 1e600 bytes: no finite
+// prediction exists, so both endpoints answer a typed error instead of
+// ok:true with null time, energy and power.
+TEST(ServeProtocol, PredictRejectsWorkloadWithoutFinitePrediction) {
+  for (const char* line :
+       {R"({"type":"predict","platform":"GTX Titan","flops":1e300,)"
+        R"("intensity":1e-300})",
+        R"({"type":"predict","platform":"GTX Titan","flops":1e300,)"
+        R"("bytes":1e-300})",
+        R"({"type":"predict","name":"x","flops":1e300,"bytes":1e300,)"
+        R"("machine":{"tau_flop":1e10,"eps_flop":1,"tau_mem":1,)"
+        R"("eps_mem":1,"pi1":1}})"}) {
+    const serve::Reply reply = serve::handle_line(line);
+    EXPECT_FALSE(reply.ok) << line;
+    EXPECT_EQ(Json::parse(reply.body).string_or("error", ""), "bad_request")
+        << reply.body;
+  }
+}
+
+TEST(ServeProtocol, PredictBatchRejectsElementWithoutFinitePrediction) {
+  const serve::Reply reply = serve::handle_line(
+      R"({"type":"predict_batch","platform":"GTX Titan","elements":[)"
+      R"({"flops":1e9,"intensity":4},{"flops":1e300,"intensity":1e-300}]})");
+  EXPECT_FALSE(reply.ok);
+  const Json parsed = Json::parse(reply.body);
+  EXPECT_EQ(parsed.string_or("error", ""), "bad_request");
+  EXPECT_NE(parsed.string_or("message", "").find("element 1:"),
+            std::string::npos)
+      << reply.body;
+}
+
 TEST(ServeProtocol, PredictBatchEnforcesSizeLimit) {
   const serve::Reply reply = serve::handle_line(batch_request(1025));
   EXPECT_FALSE(reply.ok);

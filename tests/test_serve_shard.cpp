@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -29,11 +30,7 @@
 namespace {
 
 using namespace archline::serve;
-using serve_tcp_testlib::TcpTransport;
-using serve_tcp_testlib::connect_to;
-using serve_tcp_testlib::read_lines;
-using serve_tcp_testlib::send_all;
-using serve_tcp_testlib::wait_for_eof;
+using namespace serve_tcp_testlib;
 
 const char* kPredict =
     R"({"type":"predict","platform":"GTX Titan","flops":1e9,"intensity":4})";
@@ -400,59 +397,28 @@ class StuckSendOps final : public SocketOps {
   }
 };
 
-/// Server + listener + loop thread with by-hand stop control, for the
-/// shutdown-timing tests (the TcpTransport fixture hides the join).
-struct ManualTransport {
-  explicit ManualTransport(TcpOptions tcp) : server(small_options()) {
-    server.start();
-    tcp.port = 0;
-    listener = std::make_unique<TcpListener>(server, tcp);
-    std::string error;
-    opened = listener->open(&error);
-    EXPECT_TRUE(opened) << error;
-    if (opened)
-      loop = std::thread([this] {
-        listener->run(stop);
-        done.store(true, std::memory_order_release);
-      });
-  }
-
-  ~ManualTransport() {
-    stop.store(true, std::memory_order_release);
-    if (loop.joinable()) loop.join();
-    server.shutdown();
-  }
-
-  Server server;
-  std::unique_ptr<TcpListener> listener;
-  std::atomic<bool> stop{false};
-  std::atomic<bool> done{false};
-  std::thread loop;
-  bool opened = false;
-};
-
 TEST(ServeTcpShard, DrainGraceHonoredDespiteLongPollInterval) {
   StuckSendOps ops;
   TcpOptions tcp;
   tcp.poll_interval_ms = 5000;  // much longer than the grace
   tcp.drain_grace_ms = 300;
   tcp.socket_ops = &ops;
-  ManualTransport t(tcp);
-  ASSERT_TRUE(t.opened);
+  TcpTransport t(small_options(), tcp);
+  ASSERT_TRUE(t.opened());
 
   // One request whose reply can never flush: the connection is exactly
   // the "peer stopped reading" shutdown hostage.
-  const int fd = connect_to(t.listener->port());
+  const int fd = connect_to(t.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
 
   const auto t0 = std::chrono::steady_clock::now();
-  t.stop.store(true, std::memory_order_release);
+  t.request_stop();
   // Wake the loop out of its 5 s epoll_wait so it notices the stop;
   // from that point the grace clock runs.
-  const int waker = connect_to(t.listener->port());
-  while (!t.done.load(std::memory_order_acquire) &&
+  const int waker = connect_to(t.port());
+  while (!t.loop_done() &&
          std::chrono::steady_clock::now() - t0 < std::chrono::seconds(4))
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -461,7 +427,7 @@ TEST(ServeTcpShard, DrainGraceHonoredDespiteLongPollInterval) {
   // Pre-fix: the grace check only ran when epoll_wait returned, so the
   // stalled peer held shutdown for the full 5 s poll interval. Post-fix
   // the epoll timeout is clamped to the remaining grace: ~300 ms.
-  EXPECT_TRUE(t.done.load(std::memory_order_acquire))
+  EXPECT_TRUE(t.loop_done())
       << "loop still draining after 4 s";
   EXPECT_LT(elapsed.count(), 2000) << "shutdown outlived the drain grace";
   EXPECT_GE(elapsed.count(), 250) << "force-close fired before the grace";
@@ -477,34 +443,34 @@ TEST(ServeTcpShard, DrainGraceDeadlineIsExactUnderSimClock) {
   tcp.drain_grace_ms = 1000;
   tcp.clock = &clock;
   tcp.socket_ops = &ops;
-  ManualTransport t(tcp);
-  ASSERT_TRUE(t.opened);
+  TcpTransport t(small_options(), tcp);
+  ASSERT_TRUE(t.opened());
 
-  const int fd = connect_to(t.listener->port());
+  const int fd = connect_to(t.port());
   ASSERT_GE(fd, 0);
   ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
 
-  t.stop.store(true, std::memory_order_release);
+  t.request_stop();
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   // Sim time is frozen at the stop instant: zero grace has elapsed, so
   // the stalled connection must still be draining.
-  EXPECT_FALSE(t.done.load(std::memory_order_acquire));
+  EXPECT_FALSE(t.loop_done());
 
   // Exactly AT the grace boundary the contract is "keep draining" (the
   // check is strictly greater-than)...
   clock.advance_ms(1000);
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_FALSE(t.done.load(std::memory_order_acquire))
+  EXPECT_FALSE(t.loop_done())
       << "force-close fired AT the boundary; the deadline is exclusive";
 
   // ...and one millisecond past it, the force-close must fire.
   clock.advance_ms(1);
   const auto t0 = std::chrono::steady_clock::now();
-  while (!t.done.load(std::memory_order_acquire) &&
+  while (!t.loop_done() &&
          std::chrono::steady_clock::now() - t0 < std::chrono::seconds(2))
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(t.done.load(std::memory_order_acquire));
+  EXPECT_TRUE(t.loop_done());
   EXPECT_TRUE(wait_for_eof(fd));
   ::close(fd);
 }

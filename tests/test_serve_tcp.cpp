@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -25,11 +26,7 @@
 namespace {
 
 using namespace archline::serve;
-using serve_tcp_testlib::TcpTransport;
-using serve_tcp_testlib::connect_to;
-using serve_tcp_testlib::read_lines;
-using serve_tcp_testlib::send_all;
-using serve_tcp_testlib::wait_for_eof;
+using namespace serve_tcp_testlib;
 
 const char* kPredict =
     R"({"type":"predict","platform":"GTX Titan","flops":1e9,"intensity":4})";
@@ -208,6 +205,47 @@ TEST(ServeTcp, IdleConnectionIsClosedAndCounted) {
   const auto snap = transport.server().metrics().snapshot();
   EXPECT_EQ(snap.connections_idle_closed, 1u);
   EXPECT_EQ(snap.connections_open, 0u);
+}
+
+/// Real sockets, but every sendv() advances the SimClock by `advance_ms`
+/// before returning — the schedule where the peer reads its reply and
+/// moves time on while the loop is still inside the syscall.
+class ClockAdvancingSendOps final : public SocketOps {
+ public:
+  ClockAdvancingSendOps(archline::sim::SimClock& clock, std::int64_t advance_ms)
+      : clock_(clock), advance_ms_(advance_ms) {}
+
+  ssize_t sendv(int fd, const struct iovec* iov, int iovcnt) noexcept override {
+    const ssize_t n = real_socket_ops().sendv(fd, iov, iovcnt);
+    clock_.advance_ms(advance_ms_);
+    return n;
+  }
+
+ private:
+  archline::sim::SimClock& clock_;
+  std::int64_t advance_ms_;
+};
+
+TEST(ServeTcp, IdleTimerStartsBeforeTheReplyIsSent) {
+  // Regression: flush() stamped last_activity after sendv(), so time
+  // that passed during the send restarted the idle timer, and with the
+  // clock then standing still the connection never expired.
+  archline::sim::SimClock clock;
+  ClockAdvancingSendOps ops(clock, 60'001);
+  TcpOptions tcp;
+  tcp.idle_timeout_ms = 60'000;
+  tcp.poll_interval_ms = 5;
+  tcp.clock = &clock;
+  tcp.socket_ops = &ops;
+  TcpTransport transport(small_options(), tcp);
+  const int fd = connect_to(transport.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(send_all(fd, std::string(kPredict) + "\n"));
+  ASSERT_EQ(read_lines(fd, 1).size(), 1u);
+  EXPECT_TRUE(wait_for_eof(fd));  // the reply's send already idled it out
+  ::close(fd);
+  EXPECT_EQ(transport.server().metrics().snapshot().connections_idle_closed,
+            1u);
 }
 
 TEST(ServeTcp, QueueWaitPastDeadlineAnswersDeadlineExceeded) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,6 +16,10 @@
 #include "sim/arrivals.hpp"
 #include "sim/campaign.hpp"
 #include "stats/rng.hpp"
+
+#ifndef ARCHLINE_TEST_DATA_DIR
+#error "ARCHLINE_TEST_DATA_DIR must point at tests/data"
+#endif
 
 namespace {
 
@@ -136,6 +142,36 @@ TEST(Campaign, ReplayIsByteIdentical) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.to_json(), b.to_json());
   EXPECT_FALSE(a.to_json().empty());
+}
+
+// The request-vocabulary guard: two short campaigns whose reports are
+// committed as golden files. Pools, pickers and engine together must
+// reproduce them byte for byte. Each file is the output of
+//   archline_campaign --scenario S --seed N --connections C
+//                     --virtual-seconds V --json
+// with the options below.
+TEST(Campaign, ReportsMatchGoldenFiles) {
+  struct Golden {
+    const char* scenario;
+    std::uint64_t seed;
+    int connections;
+    double virtual_seconds;
+    const char* file;
+  };
+  for (const Golden& g : {
+           Golden{"million", 1, 1000, 4.0, "campaign_million_seed1.json"},
+           Golden{"adversarial", 7, 250, 4.0,
+                  "campaign_adversarial_seed7.json"}}) {
+    CampaignOptions options = campaign_scenario(g.scenario);
+    options.seed = g.seed;
+    options.connections = g.connections;
+    options.virtual_seconds = g.virtual_seconds;
+    std::ifstream in(std::string(ARCHLINE_TEST_DATA_DIR) + "/" + g.file);
+    ASSERT_TRUE(in) << g.file;
+    std::stringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(run_campaign(options).to_json() + "\n", golden.str()) << g.file;
+  }
 }
 
 TEST(Campaign, SeedChangesTheTraffic) {

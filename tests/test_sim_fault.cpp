@@ -29,11 +29,7 @@ using archline::sim::FaultCounters;
 using archline::sim::FaultScript;
 using archline::sim::FaultyTransport;
 using archline::sim::ShardedFaultyTransport;
-using serve_tcp_testlib::TcpTransport;
-using serve_tcp_testlib::connect_to;
-using serve_tcp_testlib::read_lines;
-using serve_tcp_testlib::send_all;
-using serve_tcp_testlib::wait_for_eof;
+using namespace serve_tcp_testlib;
 
 const char* kPredict =
     R"({"type":"predict","platform":"GTX Titan","flops":1e9,"intensity":4})";
