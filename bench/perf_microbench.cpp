@@ -1,11 +1,15 @@
 // Library microbenchmarks (google-benchmark): regression guard on the hot
-// paths — model evaluation, simulator runs, sampling, fitting, and the
-// native host kernels.
+// paths — model evaluation, simulator runs, sampling, fitting, the online
+// re-solve, and the native host kernels.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "core/roofline.hpp"
 #include "fit/model_fit.hpp"
+#include "fit/online/snapshot.hpp"
 #include "microbench/native_kernels.hpp"
 #include "microbench/suite.hpp"
 #include "platforms/platform_db.hpp"
@@ -86,6 +90,39 @@ void BM_FitCappedModel(benchmark::State& state) {
     benchmark::DoNotOptimize(fit::fit_observations(data.dram_sp));
 }
 BENCHMARK(BM_FitCappedModel);
+
+/// OnlineStore::resolve over a full 4096-tuple window on the GTX 680:
+/// exact model time, 1% lognormal energy noise, tuple k on a 32-point
+/// intensity grid over 2^-4..2^9. Arg = distinct shapes: 128 (4 problem
+/// sizes, as a live window repeats its kernels) or 4096 (every tuple its
+/// own shape, the no-repeat worst case).
+void BM_OnlineResolve(benchmark::State& state) {
+  const auto shapes = static_cast<std::size_t>(state.range(0));
+  const core::MachineParams m = platforms::platform("GTX 680").machine();
+  stats::Rng rng(6);
+  std::vector<fit::online::Sample> window;
+  window.reserve(4096);
+  for (std::size_t k = 0; k < 4096; ++k) {
+    const std::size_t shape = k % shapes;
+    const double intensity =
+        std::exp2(-4.0 + 13.0 * static_cast<double>(shape % 32) / 31.0);
+    const core::Workload w = core::Workload::from_intensity(
+        1e9 * static_cast<double>(1 + shape / 32), intensity);
+    fit::online::Sample s;
+    s.flops = w.flops;
+    s.bytes = w.bytes;
+    s.seconds = core::time(m, w);
+    s.joules = core::energy(m, w) * rng.lognormal(0.0, 0.01);
+    window.push_back(s);
+  }
+  fit::online::OnlineStore store;
+  store.observe("GTX 680", window);
+  for (auto _ : state) benchmark::DoNotOptimize(store.resolve("GTX 680"));
+}
+BENCHMARK(BM_OnlineResolve)
+    ->Arg(128)
+    ->Arg(4096)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_NativeIntensityLadder(benchmark::State& state) {
   const auto elements = static_cast<std::size_t>(state.range(0));

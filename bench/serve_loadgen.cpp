@@ -84,8 +84,10 @@
 
 #include "serve/json.hpp"
 #include "serve/server.hpp"
+#include "sim/fit_flood.hpp"
 #include "sim/loopback.hpp"
 #include "sim/requests.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -221,15 +223,6 @@ struct Totals {
     batch_latencies_s.push_back(s);
   }
 };
-
-double percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t idx = std::min(
-      v.size() - 1,
-      static_cast<std::size_t>(q * static_cast<double>(v.size())));
-  return v[idx];
-}
 
 /// One non-blocking pipelined connection, multiplexed with its
 /// siblings on a client thread. The request stream is a pure function
@@ -380,42 +373,18 @@ void inproc_worker(Stream stream, serve::Server& server, const Pools& pools,
 }
 
 /// --scenario heavy-starvation, in-process. handle_now() bypasses the
-/// queue, so this path goes through Server::submit instead: one flooder
-/// thread keeps up to 32 cache-defeating fits in flight (bounded by the
-/// heavy lane, which bounces the rest), while `connections - 1` threads
+/// queue, so this path goes through Server::submit instead: a
+/// sim::FitFlood keeps up to 32 cache-defeating fits in flight (bounded
+/// by the heavy lane, which bounces the rest), while `connections - 1` threads
 /// run closed-loop predicts and record every per-request latency — the
 /// number the per-class lanes are supposed to keep flat.
 void inproc_starvation(const Config& cfg, serve::Server& server,
                        const std::vector<std::string>& predicts,
                        const std::vector<std::string>& fits, long per_conn,
                        Totals& totals) {
-  std::atomic<bool> stop{false};
-  std::thread flooder([&] {
-    std::atomic<int> inflight{0};
-    long n = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      if (inflight.load(std::memory_order_acquire) >= 32) {
-        std::this_thread::yield();
-        continue;
-      }
-      ++n;
-      std::string line = sim::with_unique_id(
-          fits[static_cast<std::size_t>(n) % fits.size()], n);
-      inflight.fetch_add(1, std::memory_order_acq_rel);
-      const bool admitted = server.submit(
-          std::move(line), [&totals, &inflight](std::string&& body) {
-            totals.count(body);
-            inflight.fetch_sub(1, std::memory_order_acq_rel);
-          });
-      if (!admitted) {  // heavy lane full — exactly the designed backstop
-        inflight.fetch_sub(1, std::memory_order_acq_rel);
-        std::this_thread::yield();
-      }
-    }
-    while (inflight.load(std::memory_order_acquire) > 0)
-      std::this_thread::yield();
+  sim::FitFlood flood(server, fits, [&totals](std::string_view body) {
+    totals.count(body);
   });
-
   std::vector<std::thread> threads;
   for (int t = 0; t < cfg.connections - 1; ++t)
     threads.emplace_back([&, t] {
@@ -429,10 +398,10 @@ void inproc_starvation(const Config& cfg, serve::Server& server,
         const auto t0 = std::chrono::steady_clock::now();
         while (!server.submit(line, [&](std::string&& body) {
           totals.count(body);
-          {
-            std::lock_guard<std::mutex> lock(mutex);
-            answered = true;
-          }
+          // Notify under the lock: once the waiter can take the mutex
+          // and sees `answered`, it may destroy `cv`.
+          std::lock_guard<std::mutex> lock(mutex);
+          answered = true;
           cv.notify_one();
         }))
           std::this_thread::yield();
@@ -447,8 +416,7 @@ void inproc_starvation(const Config& cfg, serve::Server& server,
       }
     });
   for (auto& t : threads) t.join();
-  stop.store(true, std::memory_order_release);
-  flooder.join();
+  flood.stop();
 }
 
 // ---- Report ---------------------------------------------------------------
@@ -498,10 +466,13 @@ void print_json_summary(const Config& cfg, Totals& totals, long done,
   {
     std::lock_guard<std::mutex> lock(totals.latency_mutex);
     serve::Json batch = serve::Json::object();
-    batch.set("p50_ms", percentile(totals.batch_latencies_s, 0.50) * 1e3);
-    batch.set("p95_ms", percentile(totals.batch_latencies_s, 0.95) * 1e3);
-    batch.set("p99_ms", percentile(totals.batch_latencies_s, 0.99) * 1e3);
-    batch.set("p999_ms", percentile(totals.batch_latencies_s, 0.999) * 1e3);
+    const auto ms = [&totals](double q) {
+      return stats::nearest_rank(totals.batch_latencies_s, q) * 1e3;
+    };
+    batch.set("p50_ms", ms(0.50));
+    batch.set("p95_ms", ms(0.95));
+    batch.set("p99_ms", ms(0.99));
+    batch.set("p999_ms", ms(0.999));
     batch.set("batches", totals.batch_latencies_s.size());
     batch.set("pipeline", cfg.inproc || cfg.scenario == "heavy-starvation"
                               ? 1
@@ -755,6 +726,8 @@ int main(int argc, char** argv) {
 
   const long done = totals.ok.load() + totals.errors.load() +
                     totals.overloaded.load();
+  // Sorted once for the nearest-rank quantiles of either report.
+  std::sort(totals.batch_latencies_s.begin(), totals.batch_latencies_s.end());
   if (cfg.json) {
     print_json_summary(cfg, totals, done, elapsed, deterministic, stats_body);
   } else {
@@ -768,9 +741,9 @@ int main(int argc, char** argv) {
       std::lock_guard<std::mutex> lock(totals.latency_mutex);
       std::printf("client batch lat   p50 %.2f ms   p95 %.2f ms   p99 %.2f ms "
                   "(%zu batches of <= %d)\n",
-                  percentile(totals.batch_latencies_s, 0.50) * 1e3,
-                  percentile(totals.batch_latencies_s, 0.95) * 1e3,
-                  percentile(totals.batch_latencies_s, 0.99) * 1e3,
+                  stats::nearest_rank(totals.batch_latencies_s, 0.50) * 1e3,
+                  stats::nearest_rank(totals.batch_latencies_s, 0.95) * 1e3,
+                  stats::nearest_rank(totals.batch_latencies_s, 0.99) * 1e3,
                   totals.batch_latencies_s.size(),
                   cfg.inproc || starvation ? 1 : cfg.pipeline);
     }

@@ -70,6 +70,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,8 +80,10 @@
 #include "serve/json.hpp"
 #include "serve/queue.hpp"
 #include "serve/server.hpp"
+#include "sim/fit_flood.hpp"
 #include "sim/loopback.hpp"
 #include "sim/requests.hpp"
+#include "stats/descriptive.hpp"
 
 // ---- Allocation counter ----------------------------------------------------
 // Counts every global operator new so scenarios can report allocs/op.
@@ -142,16 +145,14 @@ struct ScenarioResult {
   [[nodiscard]] double ops_per_s() const noexcept {
     return seconds > 0.0 ? static_cast<double>(ops) / seconds : 0.0;
   }
-};
 
-double percentile_ns(std::vector<double>& samples, double q) {
-  if (samples.empty()) return 0.0;
-  std::sort(samples.begin(), samples.end());
-  const std::size_t idx = std::min(
-      samples.size() - 1,
-      static_cast<std::size_t>(q * static_cast<double>(samples.size())));
-  return samples[idx];
-}
+  /// p50 / p99 of per-op latency samples [ns], sorted in place.
+  void set_latency(std::vector<double>& samples) {
+    std::sort(samples.begin(), samples.end());
+    p50_ns = stats::nearest_rank(samples, 0.50);
+    p99_ns = stats::nearest_rank(samples, 0.99);
+  }
+};
 
 /// Runs `op(thread)` in a timed loop on `threads` threads against shared
 /// state. Every 64th op is timed individually for the latency quantiles
@@ -197,8 +198,7 @@ ScenarioResult run_multi(const std::string& name, double budget_s,
   r.allocs_per_op = r.ops ? static_cast<double>(allocs1 - allocs0) /
                                 static_cast<double>(r.ops)
                           : 0.0;
-  r.p50_ns = percentile_ns(samples, 0.50);
-  r.p99_ns = percentile_ns(samples, 0.99);
+  r.set_latency(samples);
   return r;
 }
 
@@ -358,32 +358,8 @@ ScenarioResult bench_predict_latency(const char* name, const Config& cfg,
 
   // Cache-defeating fits: every flood request is a real solver run.
   const auto fits = sim::make_fit_pool(4, /*seed=*/1);
-  std::atomic<bool> stop{false};
-  std::thread flooder;
-  if (flood)
-    flooder = std::thread([&] {
-      std::atomic<int> inflight{0};
-      long n = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        if (inflight.load(std::memory_order_acquire) >= 32) {
-          std::this_thread::yield();
-          continue;
-        }
-        inflight.fetch_add(1, std::memory_order_relaxed);
-        ++n;
-        std::string line = sim::with_unique_id(
-            fits[static_cast<std::size_t>(n) % fits.size()], n);
-        if (!server.submit(std::move(line), [&](std::string&&) {
-              inflight.fetch_sub(1, std::memory_order_release);
-            })) {
-          inflight.fetch_sub(1, std::memory_order_relaxed);
-          std::this_thread::yield();
-        }
-      }
-      // Let the admitted tail drain so shutdown() below stays quick.
-      while (inflight.load(std::memory_order_acquire) > 0)
-        std::this_thread::yield();
-    });
+  std::optional<sim::FitFlood> flooder;
+  if (flood) flooder.emplace(server, fits);
 
   std::vector<double> samples;
   samples.reserve(1 << 20);
@@ -398,10 +374,10 @@ ScenarioResult bench_predict_latency(const char* name, const Config& cfg,
     bool answered = false;
     const auto t0 = Clock::now();
     while (!server.submit(pool[i], [&](std::string&&) {
-      {
-        std::lock_guard<std::mutex> lock(m);
-        answered = true;
-      }
+      // Notify under the lock: once the waiter can take the mutex and
+      // sees `answered`, it may destroy `cv`.
+      std::lock_guard<std::mutex> lock(m);
+      answered = true;
       cv.notify_one();
     })) {
       std::this_thread::yield();
@@ -418,16 +394,14 @@ ScenarioResult bench_predict_latency(const char* name, const Config& cfg,
     if (t1 >= deadline) break;
   }
   const auto end = Clock::now();
-  stop.store(true, std::memory_order_release);
-  if (flooder.joinable()) flooder.join();
+  flooder.reset();
   server.shutdown();
 
   ScenarioResult r;
   r.name = name;
   r.ops = samples.size();
   r.seconds = std::chrono::duration<double>(end - start).count();
-  r.p50_ns = percentile_ns(samples, 0.50);
-  r.p99_ns = percentile_ns(samples, 0.99);
+  r.set_latency(samples);
   return r;
 }
 
@@ -510,8 +484,7 @@ ScenarioResult bench_tcp_cached_shards(const Config& cfg, const char* name,
   r.name = name;
   r.ops = total_ops.load();
   r.seconds = std::chrono::duration<double>(end - start).count();
-  r.p50_ns = percentile_ns(samples, 0.50);
-  r.p99_ns = percentile_ns(samples, 0.99);
+  r.set_latency(samples);
   return r;
 }
 
@@ -561,8 +534,7 @@ ScenarioResult bench_tcp_batch(const Config& cfg, const char* name,
   r.name = name;
   r.ops = ops;
   r.seconds = std::chrono::duration<double>(end - start).count();
-  r.p50_ns = percentile_ns(samples, 0.50);
-  r.p99_ns = percentile_ns(samples, 0.99);
+  r.set_latency(samples);
   return r;
 }
 

@@ -50,19 +50,27 @@ core::MachineParams optimize_machine(
     if (capped) x.push_back(std::log(m.delta_pi));
     return x;
   };
+  // Built once: every objective evaluation below walks the shapes, not
+  // the tuples. The anchors follow the shape residuals.
+  const ShapeMoments shapes(obs);
+  const auto for_each_anchor = [&](const core::MachineParams& m,
+                                   auto&& emit) {
+    if (opt.idle_watts_hint > 0.0)
+      emit(opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0));
+    if (capped && opt.max_watts_hint > 0.0)
+      emit(opt.max_watts_weight *
+           (m.max_power() / opt.max_watts_hint - 1.0));
+  };
   const auto residual_fn = [&](std::span<const double> x) {
     const core::MachineParams m = decode(x);
-    std::vector<double> r = time_energy_residuals(m, obs);
-    if (opt.idle_watts_hint > 0.0)
-      r.push_back(opt.idle_weight * (m.pi1 / opt.idle_watts_hint - 1.0));
-    if (capped && opt.max_watts_hint > 0.0)
-      r.push_back(opt.max_watts_weight *
-                  (m.max_power() / opt.max_watts_hint - 1.0));
+    std::vector<double> r = time_energy_residuals(m, shapes);
+    for_each_anchor(m, [&r](double v) { r.push_back(v); });
     return r;
   };
   const auto scalar_objective = [&](std::span<const double> x) {
-    double acc = 0.0;
-    for (const double v : residual_fn(x)) acc += v * v;
+    const core::MachineParams m = decode(x);
+    double acc = sum_squared_residuals(m, shapes);
+    for_each_anchor(m, [&acc](double v) { acc += v * v; });
     return acc;
   };
 
@@ -153,14 +161,15 @@ LevelFit fit_level(std::span<const microbench::Observation> obs,
     if (kind == ModelKind::Uncapped) m.delta_pi = core::kUncapped;
     return m;
   };
+  const ShapeMoments shapes(obs);
   const auto residual_fn = [&](std::span<const double> x) {
-    return time_energy_residuals(decode(x), obs);
+    return time_energy_residuals(decode(x), shapes);
   };
   const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
 
   // Two smooth-ish parameters: NM then LM, both cheap.
   const auto scalar = [&](std::span<const double> x) {
-    return sum_squared_residuals(decode(x), obs);
+    return sum_squared_residuals(decode(x), shapes);
   };
   NelderMeadOptions nm_opt;
   nm_opt.max_evaluations = opt.nm_evaluations / 4;
@@ -219,11 +228,12 @@ FlopFit fit_dp(std::span<const microbench::Observation> obs,
     if (kind == ModelKind::Uncapped) m.delta_pi = core::kUncapped;
     return m;
   };
+  const ShapeMoments shapes(obs);
   const auto residual_fn = [&](std::span<const double> x) {
-    return time_energy_residuals(decode(x), obs);
+    return time_energy_residuals(decode(x), shapes);
   };
   const auto scalar = [&](std::span<const double> x) {
-    return sum_squared_residuals(decode(x), obs);
+    return sum_squared_residuals(decode(x), shapes);
   };
   const std::vector<double> x0 = {std::log(tau0), std::log(eps0)};
   NelderMeadOptions nm_opt;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "core/roofline.hpp"
 
@@ -35,26 +36,68 @@ core::MachineParams unpack(std::span<const double> x, ModelKind kind) {
   return m;
 }
 
-std::vector<double> time_energy_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs) {
-  std::vector<double> r;
-  r.reserve(3 * obs.size());
+ShapeMoments::ShapeMoments(std::span<const microbench::Observation> obs) {
+  std::unordered_map<ShapeKey, std::size_t, ShapeKey::Hash> index;
+  index.reserve(obs.size());
   for (const microbench::Observation& o : obs) {
     const core::Workload w = o.kernel.workload();
-    const double t_model = core::time(m, w);
-    const double e_model = core::energy(m, w);
-    r.push_back(t_model / o.seconds - 1.0);
-    r.push_back(e_model / o.joules - 1.0);
-    r.push_back((e_model / t_model) / o.watts - 1.0);
+    const auto [it, fresh] =
+        index.try_emplace(ShapeKey::of(w), groups_.size());
+    if (fresh) {
+      Group g;
+      g.shape = w;
+      g.first[0] = o.seconds;
+      g.first[1] = o.joules;
+      g.first[2] = o.watts;
+      groups_.push_back(g);
+    }
+    Group& g = groups_[it->second];
+    ++g.n;
+    const double x[3] = {1.0 / o.seconds, 1.0 / o.joules, 1.0 / o.watts};
+    for (int k = 0; k < 3; ++k) {
+      // Welford; root_ss holds the running S until the pass below.
+      const double delta = x[k] - g.inv[k].mean;
+      g.inv[k].mean += delta / static_cast<double>(g.n);
+      g.inv[k].root_ss += delta * (x[k] - g.inv[k].mean);
+    }
   }
+  for (Group& g : groups_) {
+    g.root_n = std::sqrt(static_cast<double>(g.n));
+    for (Moments& mo : g.inv) mo.root_ss = std::sqrt(mo.root_ss);
+    residual_count_ += g.n == 1 ? 3 : 6;
+  }
+}
+
+template <typename Emit>
+void ShapeMoments::for_each_residual(const core::MachineParams& m,
+                                     Emit&& emit) const {
+  for (const Group& g : groups_) {
+    const double t_model = core::time(m, g.shape);
+    const double e_model = core::energy(m, g.shape);
+    const double model[3] = {t_model, e_model, e_model / t_model};
+    if (g.n == 1) {
+      for (int k = 0; k < 3; ++k) emit(model[k] / g.first[k] - 1.0);
+      continue;
+    }
+    for (int k = 0; k < 3; ++k) {
+      emit(g.root_n * (model[k] * g.inv[k].mean - 1.0));
+      emit(model[k] * g.inv[k].root_ss);
+    }
+  }
+}
+
+std::vector<double> time_energy_residuals(const core::MachineParams& m,
+                                          const ShapeMoments& shapes) {
+  std::vector<double> r;
+  r.reserve(shapes.residual_count());
+  shapes.for_each_residual(m, [&r](double v) { r.push_back(v); });
   return r;
 }
 
 double sum_squared_residuals(const core::MachineParams& m,
-                             std::span<const microbench::Observation> obs) {
+                             const ShapeMoments& shapes) {
   double acc = 0.0;
-  for (const double v : time_energy_residuals(m, obs)) acc += v * v;
+  shapes.for_each_residual(m, [&acc](double v) { acc += v * v; });
   return acc;
 }
 

@@ -7,6 +7,9 @@
 // and equalizes scales across parameters that differ by 12 orders of
 // magnitude (tau_flop in ps vs pi1 in watts).
 
+#include <bit>
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -34,8 +37,86 @@ enum class ModelKind {
 [[nodiscard]] core::MachineParams unpack(std::span<const double> x,
                                          ModelKind kind);
 
+/// Hash-map key of a workload shape (W, Q): the exact bit patterns, so
+/// only shapes the model cannot tell apart share a key.
+struct ShapeKey {
+  std::uint64_t flops = 0;
+  std::uint64_t bytes = 0;
+
+  [[nodiscard]] static ShapeKey of(const core::Workload& w) noexcept {
+    return {std::bit_cast<std::uint64_t>(w.flops),
+            std::bit_cast<std::uint64_t>(w.bytes)};
+  }
+  friend bool operator==(const ShapeKey&, const ShapeKey&) = default;
+
+  struct Hash {
+    std::size_t operator()(const ShapeKey& k) const noexcept {
+      return std::hash<std::uint64_t>{}(
+          (k.flops * 0x9e3779b97f4a7c15ULL) ^ k.bytes);
+    }
+  };
+};
+
+/// The observations of a sweep or window grouped by workload shape
+/// (W, Q), in first-appearance order: what the fitting residuals read.
+///
+/// The model's time T and energy E depend on the shape alone, so a group
+/// of n repeats is summed up by n and, for each of x = 1/t, 1/e and 1/p,
+/// the mean m and the centred sum of squares S of the measured values
+/// (Welford). For one quantity with model value M, the n per-tuple
+/// residuals M*x_i - 1 and the two residuals sqrt(n)*(M*m - 1) and
+/// M*sqrt(S) have the same sum of squares, n(Mm - 1)^2 + M^2 S, and —
+/// since both depend on the parameters only through M — the same J^T J
+/// and J^T r. A least-squares fit over the groups therefore takes the
+/// steps of one over the tuples, at a cost set by the shapes instead of
+/// the tuples. A group of one emits the per-tuple residuals themselves,
+/// so a sweep without repeated shapes gives bit-identical residuals.
+class ShapeMoments {
+ public:
+  explicit ShapeMoments(std::span<const microbench::Observation> obs);
+
+  /// Distinct (W, Q) shapes.
+  [[nodiscard]] std::size_t shapes() const noexcept { return groups_.size(); }
+
+  /// Length of time_energy_residuals(): 3 per single-tuple shape, 6 per
+  /// repeated one.
+  [[nodiscard]] std::size_t residual_count() const noexcept {
+    return residual_count_;
+  }
+
+  friend std::vector<double> time_energy_residuals(
+      const core::MachineParams& m, const ShapeMoments& shapes);
+  friend double sum_squared_residuals(const core::MachineParams& m,
+                                      const ShapeMoments& shapes);
+
+ private:
+  /// Calls `emit(r)` for each residual, in time_energy_residuals() order.
+  template <typename Emit>
+  void for_each_residual(const core::MachineParams& m, Emit&& emit) const;
+
+  /// Moments of one inverted measured quantity over a group.
+  struct Moments {
+    double mean = 0.0;     ///< m
+    double root_ss = 0.0;  ///< sqrt(S)
+  };
+  struct Group {
+    core::Workload shape;
+    std::size_t n = 0;
+    double root_n = 0.0;
+    /// The first tuple's measured t, e, p: a group of one divides by
+    /// them exactly as the per-tuple residual does.
+    double first[3] = {};
+    Moments inv[3];  ///< of 1/t, 1/e, 1/p
+  };
+  std::vector<Group> groups_;
+  std::size_t residual_count_ = 0;
+};
+
 /// Relative residuals of predicted vs measured time, energy, and average
-/// power, three per observation: (T/t - 1, E/e - 1, P/p - 1).
+/// power over the shape groups. A single-tuple shape emits the three
+/// per-tuple residuals (T/t - 1, E/e - 1, P/p - 1); a repeated shape
+/// emits, per quantity, sqrt(n)*(M*m - 1) then M*sqrt(S) (see
+/// ShapeMoments). Either way the sum of squares is the per-tuple RSS.
 ///
 /// Power is E/T and thus analytically redundant, but including it weights
 /// the fit toward reproducing the power curve's *shape* — which is what
@@ -43,14 +124,12 @@ enum class ModelKind {
 /// platforms where pi_mem ~ delta_pi (e.g. the APU GPU) and pins delta_pi
 /// near the observed peak power when the cap barely binds (Xeon Phi).
 [[nodiscard]] std::vector<double> time_energy_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs);
+    const core::MachineParams& m, const ShapeMoments& shapes);
 
 /// Sum of squared time_energy_residuals — the scalar objective for
-/// Nelder-Mead seeding.
-[[nodiscard]] double sum_squared_residuals(
-    const core::MachineParams& m,
-    std::span<const microbench::Observation> obs);
+/// Nelder-Mead seeding — without building the vector.
+[[nodiscard]] double sum_squared_residuals(const core::MachineParams& m,
+                                           const ShapeMoments& shapes);
 
 /// Per-observation relative prediction errors (model - measured)/measured
 /// for the three quantities of interest — the raw material of Fig. 4.

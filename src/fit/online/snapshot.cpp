@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <unordered_map>
 #include <utility>
 
 #include "core/operating_point.hpp"
@@ -135,20 +136,27 @@ std::shared_ptr<const ParamSnapshot> OnlineStore::resolve(
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<microbench::Observation> obs;
   obs.reserve(window.size());
+  // measure_throughput() averages repeats of the same kernel label
+  // before taking the sustained-peak min. Streamed tuples carry no
+  // label, so derive one from the workload shape: repeats of the same
+  // (W, Q) de-noise each other while distinct workloads stay distinct
+  // — an unlabeled window would collapse into ONE averaged
+  // pseudo-kernel and turn tau into the sweep mean instead of the
+  // observed peak. A window repeats its shapes, so each label is
+  // formatted once per distinct shape.
+  std::unordered_map<ShapeKey, std::string, ShapeKey::Hash> labels;
   char label[64];
   for (const Sample& s : window) {
     microbench::Observation o;
     o.kernel.flops = s.flops;
     o.kernel.bytes = s.bytes;
-    // measure_throughput() averages repeats of the same kernel label
-    // before taking the sustained-peak min. Streamed tuples carry no
-    // label, so derive one from the workload shape: repeats of the same
-    // (W, Q) de-noise each other while distinct workloads stay distinct
-    // — an unlabeled window would collapse into ONE averaged
-    // pseudo-kernel and turn tau into the sweep mean instead of the
-    // observed peak.
-    std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
-    o.kernel.label = label;
+    const auto [it, fresh] =
+        labels.try_emplace(ShapeKey::of(o.kernel.workload()));
+    if (fresh) {
+      std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
+      it->second = label;
+    }
+    o.kernel.label = it->second;
     o.seconds = s.seconds;
     o.joules = s.joules;
     o.watts = s.joules / s.seconds;

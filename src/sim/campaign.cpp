@@ -14,6 +14,7 @@
 #include "serve/server.hpp"
 #include "sim/clock.hpp"
 #include "sim/requests.hpp"
+#include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 
 namespace archline::sim {
@@ -48,10 +49,7 @@ constexpr std::uint64_t kNoDeadline =
   if (samples.empty()) return out;
   std::sort(samples.begin(), samples.end());
   const auto rank = [&](double q) {
-    const double r = std::ceil(q * static_cast<double>(samples.size()));
-    const std::size_t idx =
-        r < 1.0 ? 0 : static_cast<std::size_t>(r) - 1;
-    return samples[std::min(idx, samples.size() - 1)];
+    return samples[stats::nearest_rank_index(samples.size(), q)];
   };
   out.p50_ns = rank(0.50);
   out.p99_ns = rank(0.99);

@@ -51,6 +51,17 @@ double quantile(std::span<const double> xs, double p) {
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
+std::size_t nearest_rank_index(std::size_t n, double q) noexcept {
+  const double rank = std::ceil(q * static_cast<double>(n));
+  const std::size_t index =
+      rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
+  return std::min(index, n - 1);
+}
+
+double nearest_rank(std::span<const double> sorted, double q) noexcept {
+  return sorted.empty() ? 0.0 : sorted[nearest_rank_index(sorted.size(), q)];
+}
+
 double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 FiveNumberSummary summarize(std::span<const double> xs) {

@@ -27,6 +27,18 @@ namespace archline::stats {
 /// p must lie in [0, 1]; input must be non-empty (need not be sorted).
 [[nodiscard]] double quantile(std::span<const double> xs, double p);
 
+/// Nearest-rank quantile index into a sorted sample of n >= 1 values:
+/// the 0-based index ceil(q * n) - 1, clamped to [0, n - 1]. Latency
+/// reports (p50 / p99 / p999) quote this observed value rather than an
+/// interpolation.
+[[nodiscard]] std::size_t nearest_rank_index(std::size_t n,
+                                             double q) noexcept;
+
+/// The nearest-rank q-quantile of an ascending `sorted` sample; 0 for an
+/// empty one.
+[[nodiscard]] double nearest_rank(std::span<const double> sorted,
+                                  double q) noexcept;
+
 /// Median (type-7 quantile at p = 0.5).
 [[nodiscard]] double median(std::span<const double> xs);
 

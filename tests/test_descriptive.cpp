@@ -88,6 +88,31 @@ TEST(Quantile, EmptyThrows) {
                std::invalid_argument);
 }
 
+TEST(NearestRank, HandValues) {
+  // ceil(q * n) - 1, clamped: n = 1 always picks the only value.
+  for (const double q : {0.5, 0.99, 0.999})
+    EXPECT_EQ(st::nearest_rank_index(1, q), 0u) << q;
+  EXPECT_EQ(st::nearest_rank_index(2, 0.5), 0u);
+  EXPECT_EQ(st::nearest_rank_index(2, 0.99), 1u);
+  EXPECT_EQ(st::nearest_rank_index(2, 0.999), 1u);
+  EXPECT_EQ(st::nearest_rank_index(100, 0.5), 49u);
+  EXPECT_EQ(st::nearest_rank_index(100, 0.99), 98u);
+  EXPECT_EQ(st::nearest_rank_index(100, 0.999), 99u);
+  EXPECT_EQ(st::nearest_rank_index(100, 0.0), 0u);
+  EXPECT_EQ(st::nearest_rank_index(100, 1.0), 99u);
+
+  std::vector<double> v(100);
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = static_cast<double>(i + 1);
+  EXPECT_EQ(st::nearest_rank(v, 0.5), 50.0);
+  EXPECT_EQ(st::nearest_rank(v, 0.99), 99.0);
+  EXPECT_EQ(st::nearest_rank(v, 0.999), 100.0);
+}
+
+TEST(NearestRank, EmptyIsZero) {
+  EXPECT_EQ(st::nearest_rank(std::vector<double>{}, 0.5), 0.0);
+}
+
 TEST(Summarize, FiveNumbers) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0, 5.0};
   const st::FiveNumberSummary s = st::summarize(xs);

@@ -19,6 +19,7 @@
 #include "fit/online/rls.hpp"
 #include "fit/online/snapshot.hpp"
 #include "microbench/suite.hpp"
+#include "per_tuple_objective.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -79,6 +80,27 @@ double rel_err(double got, double want) {
   return std::abs(got - want) / std::abs(want);
 }
 
+/// The stream as the solver sees it, labeled the way
+/// OnlineStore::resolve() labels its window: repeats of one workload
+/// average, distinct workloads stay distinct kernels.
+std::vector<microbench::Observation> labeled(std::span<const Sample> stream) {
+  std::vector<microbench::Observation> obs;
+  obs.reserve(stream.size());
+  char label[64];
+  for (const Sample& s : stream) {
+    microbench::Observation o;
+    o.kernel.flops = s.flops;
+    o.kernel.bytes = s.bytes;
+    std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
+    o.kernel.label = label;
+    o.seconds = s.seconds;
+    o.joules = s.joules;
+    o.watts = s.joules / s.seconds;
+    obs.push_back(o);
+  }
+  return obs;
+}
+
 TEST(OnlineFit, RlsConvergesToGeneratorConstants) {
   const Generator g;
   RlsFilter filter(0.998);
@@ -107,23 +129,8 @@ TEST(OnlineFit, RlsMatchesOfflineSolverOnTheSameStream) {
   const auto stream = make_stream(g, 512, 0.005, 7);
 
   RlsFilter filter(1.0);  // no forgetting: closest analog of batch LS
-  std::vector<microbench::Observation> obs;
-  obs.reserve(stream.size());
-  char label[64];
-  for (const Sample& s : stream) {
-    filter.observe(s);
-    microbench::Observation o;
-    o.kernel.flops = s.flops;
-    o.kernel.bytes = s.bytes;
-    // Same labeling scheme as OnlineStore::resolve(): repeats of one
-    // workload average, distinct workloads stay distinct kernels.
-    std::snprintf(label, sizeof label, "%.9g/%.9g", s.flops, s.bytes);
-    o.kernel.label = label;
-    o.seconds = s.seconds;
-    o.joules = s.joules;
-    o.watts = s.joules / s.seconds;
-    obs.push_back(o);
-  }
+  for (const Sample& s : stream) filter.observe(s);
+  const std::vector<microbench::Observation> obs = labeled(stream);
 
   // Uncapped: the generator never drives power anywhere near a cap, so
   // fitting delta_pi would only add an unidentifiable degree of freedom
@@ -227,6 +234,43 @@ TEST(OnlineFit, StoreResolvePublishesBlendedSnapshot) {
   ASSERT_NE(snap2, nullptr);
   EXPECT_EQ(snap2->epoch, 2u);
   EXPECT_EQ(store.generation(), 2u);
+}
+
+TEST(OnlineFit, ResolveOverRepeatedShapesReportsPerTupleRss) {
+  // A full default window of 4096 tuples that repeats 128 shapes (32
+  // intensities over 2^-4..2^9 x 4 problem sizes), 1% energy noise: the
+  // solver fits per-shape moments, but what it publishes is in tuples.
+  const Generator g;
+  stats::Rng rng(17, 11);
+  std::vector<Sample> stream;
+  stream.reserve(4096);
+  for (std::size_t k = 0; k < 4096; ++k) {
+    const double intensity =
+        std::exp2(-4.0 + 13.0 * static_cast<double>(k % 32) / 31.0);
+    const double flops = 1e8 * static_cast<double>(1 + (k / 32) % 4);
+    stream.push_back(make_sample(g, flops, intensity, 0.01, rng));
+  }
+  OnlineStore store;
+  store.observe("GTX Titan", std::span<const Sample>(stream));
+  const auto snap = store.resolve("GTX Titan");
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->window_observations, 4096u);
+
+  // The published machine carries the RLS energy constants, so the
+  // solver's own machine comes from the same deterministic solve; its
+  // time constants and cap are what the snapshot publishes.
+  const std::vector<microbench::Observation> obs = labeled(stream);
+  fit::FitOptions opt;
+  opt.nm_evaluations = store.options().nm_evaluations;
+  opt.lm_iterations = store.options().lm_iterations;
+  const fit::FitResult solved = fit::fit_observations(obs, opt);
+  EXPECT_EQ(snap->machine.tau_flop, solved.machine.tau_flop);
+  EXPECT_EQ(snap->machine.tau_mem, solved.machine.tau_mem);
+  EXPECT_EQ(snap->machine.delta_pi, solved.machine.delta_pi);
+  EXPECT_EQ(snap->rss, solved.rss);
+  const double per_tuple = archline::testing::per_tuple_rss(solved.machine,
+                                                            obs);
+  EXPECT_NEAR(snap->rss, per_tuple, 1e-9 * per_tuple);
 }
 
 TEST(OnlineFit, BackgroundResolverSweepsDirtyPlatforms) {
