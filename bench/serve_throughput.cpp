@@ -31,8 +31,8 @@
 //                            the pre-lane single-queue behavior, kept as
 //                            the A/B baseline showing what lanes buy
 //   observe_ingest_1t        "observe" with an 8-tuple batch: parse +
-//                            per-tuple RLS update + ring-buffer write,
-//                            never cached — the streaming ingest cost
+//                            ring-buffer write, never cached — the
+//                            streaming ingest cost
 //   observe_under_refit_mt   same ingest on all threads while the
 //                            background resolver re-solves and publishes
 //                            every 20 ms: observe p99 with snapshot
@@ -631,8 +631,8 @@ int main(int argc, char** argv) {
   // Online-fit ingest: per-request cost alone, then with the background
   // resolver publishing re-solves underneath.
   const auto observes = sim::make_observe_pool(64, /*seed=*/1);
-  // Observes are never cached: every op is a cache probe, parse,
-  // per-tuple RLS update and ring-buffer write.
+  // Observes are never cached: every op is a cache probe, parse and
+  // ring-buffer write.
   results.push_back(bench_inproc(cfg, "observe_ingest_1t", observes, true));
   // With the resolver re-fitting dirty platforms every 20 ms and
   // publishing (each publish bumps the cache generation), observe p99 is

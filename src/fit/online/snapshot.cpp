@@ -1,7 +1,6 @@
 #include "fit/online/snapshot.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <unordered_map>
 #include <utility>
@@ -13,36 +12,12 @@
 
 namespace archline::fit::online {
 
-namespace {
-
-/// Blend the solver's answer with the live RLS estimates: the solver is
-/// authoritative for the time constants and the cap (the max() kink and
-/// delta_pi are exactly what RLS cannot express), the RLS filter is
-/// fresher for the linear energy constants. RLS values that are not yet
-/// usable (early noise can drive an estimate <= 0) fall back to the
-/// solver's.
-core::MachineParams blend(const core::MachineParams& solved,
-                          const RlsEstimate& rls) {
-  core::MachineParams m = solved;
-  const auto usable = [](double v) {
-    return v > 0.0 && std::isfinite(v);
-  };
-  if (usable(rls.eps_flop)) m.eps_flop = rls.eps_flop;
-  if (usable(rls.eps_mem)) m.eps_mem = rls.eps_mem;
-  if (usable(rls.pi1)) m.pi1 = rls.pi1;
-  return m;
-}
-
-}  // namespace
-
 OnlineStore::OnlineStore(OnlineFitOptions options)
     : options_(options) {
-  if (!(options_.forgetting > 0.0) || options_.forgetting > 1.0)
-    options_.forgetting = 1.0;
   if (options_.window_capacity == 0) options_.window_capacity = 1;
   for (const platforms::PlatformSpec& spec : platforms::all_platforms())
     platforms_.push_back(
-        std::make_unique<PlatformState>(std::string(spec.name), options_));
+        std::make_unique<PlatformState>(std::string(spec.name)));
 }
 
 OnlineStore::PlatformState* OnlineStore::find(
@@ -73,18 +48,32 @@ std::uint64_t OnlineStore::observe(PlatformRef platform,
   PlatformState* p = platform.state_;
   if (!p) return 0;
   std::lock_guard<std::mutex> lock(p->ingest_mutex);
+  return ingest(*p, batch);
+}
+
+std::uint64_t OnlineStore::seed(std::string_view platform,
+                                std::span<const Sample> batch,
+                                PowerAnchors anchors) {
+  PlatformState* p = find(platform);
+  if (!p) return 0;
+  std::lock_guard<std::mutex> lock(p->ingest_mutex);
+  p->anchors = anchors;
+  return ingest(*p, batch);
+}
+
+std::uint64_t OnlineStore::ingest(PlatformState& p,
+                                  std::span<const Sample> batch) {
   for (const Sample& s : batch) {
-    p->rls.observe(s);
-    if (p->window.size() < options_.window_capacity) {
-      p->window.push_back(s);
+    if (p.window.size() < options_.window_capacity) {
+      p.window.push_back(s);
     } else {
-      p->window[p->window_next] = s;
-      p->window_next = (p->window_next + 1) % options_.window_capacity;
+      p.window[p.window_next] = s;
+      p.window_next = (p.window_next + 1) % options_.window_capacity;
     }
   }
-  p->total += batch.size();
+  p.total += batch.size();
   observations_total_.fetch_add(batch.size(), std::memory_order_relaxed);
-  return p->total;
+  return p.total;
 }
 
 std::shared_ptr<const ParamSnapshot> OnlineStore::published(
@@ -118,16 +107,16 @@ std::shared_ptr<const ParamSnapshot> OnlineStore::resolve(
   PlatformState* p = find(platform);
   if (!p) return nullptr;
 
-  // Copy the window and the filter state under the ingest lock; the
+  // Copy the window and the anchors under the ingest lock; the
   // expensive solve below runs unlocked so `observe` stays O(1) even
   // while a re-solve is in flight.
   std::vector<Sample> window;
-  RlsEstimate rls;
+  PowerAnchors anchors;
   std::uint64_t total = 0;
   {
     std::lock_guard<std::mutex> lock(p->ingest_mutex);
     window = p->window;
-    rls = p->rls.estimate();
+    anchors = p->anchors;
     total = p->total;
     p->published_total = p->total;
   }
@@ -166,13 +155,13 @@ std::shared_ptr<const ParamSnapshot> OnlineStore::resolve(
   opt.kind = ModelKind::Capped;
   opt.nm_evaluations = options_.nm_evaluations;
   opt.lm_iterations = options_.lm_iterations;
+  opt.idle_watts_hint = anchors.idle_watts;
+  opt.max_watts_hint = anchors.max_watts;
   const fit::FitResult solved = fit::fit_observations(obs, opt);
 
   auto snapshot = std::make_shared<ParamSnapshot>();
-  snapshot->machine = blend(solved.machine, rls);
-  snapshot->rls = rls;
+  snapshot->machine = solved.machine;
   snapshot->observations = total;
-  snapshot->resolved = true;
   snapshot->rss = solved.rss;
   snapshot->r_squared = solved.r_squared_perf;
   snapshot->converged = solved.converged;

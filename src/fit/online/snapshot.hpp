@@ -4,9 +4,11 @@
 // OnlineStore is the server's first mutable-state subsystem, so its
 // concurrency contract is spelled out here:
 //
-//   * Ingest (`observe`) takes only the one platform's ingest mutex,
-//     updates the RLS filter and the bounded re-solve window, and
-//     returns — O(1) per tuple, never blocked by a running re-solve.
+//   * Ingest (`observe`, `seed`) takes only the one platform's ingest
+//     mutex, writes the bounded re-solve window (and, for `seed`, the
+//     power anchors), and returns — O(1) per tuple, never blocked by a
+//     running re-solve. The window is the learner's only memory: a
+//     re-solve sees exactly its last `window_capacity` tuples.
 //   * Publication is an atomic snapshot swap: a re-solve builds a fresh
 //     immutable ParamSnapshot off to the side (the expensive
 //     Nelder-Mead + Levenberg-Marquardt work happens with NO ingest
@@ -34,22 +36,35 @@
 #include <vector>
 
 #include "core/machine_params.hpp"
-#include "fit/online/rls.hpp"
 
 namespace archline::fit::online {
+
+/// One streaming measurement tuple: what `observe` carries on the wire.
+/// (The serve layer validates bytes/seconds/joules > 0, flops >= 0
+/// before ingest.)
+struct Sample {
+  double flops = 0.0;
+  double bytes = 0.0;
+  double seconds = 0.0;
+  double joules = 0.0;
+};
+
+/// Measured idle and peak power [W] of a calibration run. They anchor
+/// pi1 and the cap in every re-solve (FitOptions::idle_watts_hint /
+/// max_watts_hint), because eps and pi1 trade off against each other in
+/// a fit of time and energy alone. 0 means unknown.
+struct PowerAnchors {
+  double idle_watts = 0.0;
+  double max_watts = 0.0;
+};
 
 /// Immutable published estimate for one platform. Everything a reader
 /// needs is captured at publish time; fields never change after the
 /// swap.
 struct ParamSnapshot {
-  core::MachineParams machine;  ///< blended current-best (SP @ DRAM)
-  RlsEstimate rls;              ///< linear estimates + uncertainty
+  core::MachineParams machine;  ///< the re-solve's machine (SP @ DRAM)
   std::uint64_t epoch = 0;      ///< per-platform publish ordinal (1-based)
   std::uint64_t observations = 0;  ///< tuples ingested at publish time
-  /// True when the nonlinear re-solve contributed (tau_*, delta_pi from
-  /// the solver); false would mean an RLS-only publish, which the store
-  /// never does today.
-  bool resolved = false;
   double rss = 0.0;
   double r_squared = 0.0;
   bool converged = false;
@@ -63,9 +78,6 @@ struct ParamSnapshot {
 };
 
 struct OnlineFitOptions {
-  /// RLS forgetting factor lambda in (0, 1]; effective memory is
-  /// ~1/(1-lambda) observations.
-  double forgetting = 0.998;
   /// Bounded window of recent tuples kept per platform for the
   /// nonlinear re-solve (ring buffer; oldest overwritten).
   std::size_t window_capacity = 4096;
@@ -135,6 +147,12 @@ class OnlineStore {
   /// Handle form of observe() — no name scan. Falsy handles return 0.
   std::uint64_t observe(PlatformRef platform, std::span<const Sample> batch);
 
+  /// observe() for a calibration batch: under the same lock, the batch's
+  /// power anchors replace the platform's, and every later re-solve
+  /// passes them to the solver.
+  std::uint64_t seed(std::string_view platform, std::span<const Sample> batch,
+                     PowerAnchors anchors);
+
   /// The platform's current published snapshot; null before the first
   /// publish or for unknown platforms. Lock-free to read after the
   /// pointer copy.
@@ -142,10 +160,10 @@ class OnlineStore {
       std::string_view platform) const;
 
   /// Synchronous re-solve + publish for one platform: copies the window
-  /// under the ingest lock, runs the full §V pipeline unlocked, blends
-  /// with the live RLS estimates, swaps the snapshot in, bumps the
-  /// epoch and global generation. Returns the new snapshot, or null
-  /// when the window holds fewer than min_resolve_observations tuples.
+  /// and anchors under the ingest lock, runs the full §V pipeline
+  /// unlocked, publishes its machine as is, bumps the epoch and global
+  /// generation. Returns the new snapshot, or null when the window
+  /// holds fewer than min_resolve_observations tuples.
   /// Throws only what fit::fit_observations throws (degenerate data).
   std::shared_ptr<const ParamSnapshot> resolve(std::string_view platform);
 
@@ -174,21 +192,22 @@ class OnlineStore {
     std::string name;
 
     mutable std::mutex ingest_mutex;  ///< guards everything below
-    RlsFilter rls;
     std::vector<Sample> window;  ///< ring buffer, capacity-bounded
     std::size_t window_next = 0;  ///< ring write cursor
     std::uint64_t total = 0;      ///< tuples ingested lifetime
     std::uint64_t published_total = 0;  ///< `total` at last publish
+    PowerAnchors anchors;  ///< from the last seed(); 0 = unknown
 
     mutable std::mutex snapshot_mutex;  ///< guards the pointer only
     std::shared_ptr<const ParamSnapshot> snapshot;
     std::uint64_t epoch = 0;
 
-    explicit PlatformState(std::string n, const OnlineFitOptions& o)
-        : name(std::move(n)), rls(o.forgetting) {}
+    explicit PlatformState(std::string n) : name(std::move(n)) {}
   };
 
   [[nodiscard]] PlatformState* find(std::string_view platform) const noexcept;
+  /// Appends to the ring window; the caller holds p.ingest_mutex.
+  std::uint64_t ingest(PlatformState& p, std::span<const Sample> batch);
 
   OnlineFitOptions options_;
   /// Fixed at construction; unique_ptr keeps PlatformState addresses

@@ -11,7 +11,7 @@
 
 #include "core/machine_params.hpp"
 #include "core/roofline.hpp"
-#include "fit/online/rls.hpp"
+#include "fit/online/snapshot.hpp"
 #include "platforms/spec.hpp"
 #include "serve/json.hpp"
 #include "serve/registry.hpp"

@@ -150,7 +150,8 @@ Json do_fit(const EndpointContext& ctx) {
         std::to_string(ctx.limits.max_fit_observations) + ")");
   // "seed_online": true additionally feeds the tuples into the named
   // platform's online window (the streaming `observe` path), so a bulk
-  // calibration upload primes the live model in one request. Validated
+  // calibration upload primes the live model in one request; its
+  // idle_watts / max_watts anchor every later re-solve. Validated
   // up front: the request must name a platform and the server must run
   // an online store.
   const bool seed_online = req.bool_or("seed_online", false);
@@ -160,7 +161,7 @@ Json do_fit(const EndpointContext& ctx) {
       throw RequestError{"unsupported",
                          "online fitting is not enabled on this server"};
     seed_platform = require_string(req, "platform");
-    lookup_platform(seed_platform);  // raises unknown_platform on a miss
+    (void)lookup_platform(seed_platform);  // raises unknown_platform on a miss
   }
   std::vector<microbench::Observation> obs;
   obs.reserve(rows.size());
@@ -207,7 +208,8 @@ Json do_fit(const EndpointContext& ctx) {
   // contaminates the online window. The reply records what was seeded
   // so clients can confirm the side effect took place.
   if (seed_online) {
-    ctx.online->observe(seed_platform, samples);
+    ctx.online->seed(seed_platform, samples,
+                     {opt.idle_watts_hint, opt.max_watts_hint});
     out.set("seeded_platform", Json::view(seed_platform));
     out.set("seeded", static_cast<double>(samples.size()));
   }

@@ -2,15 +2,15 @@
 // surface (docs/MODEL.md "Online fitting").
 //
 //   observe — Light, NOT cacheable: ingest one batch of (W, Q, t, E)
-//             tuples for a platform. O(1) per tuple (RLS update + ring
-//             buffer write); never waits on a re-solve. The reply
+//             tuples for a platform. O(1) per tuple (a ring-buffer
+//             write); never waits on a re-solve. The reply
 //             echoes only batch-local facts, so identical requests
 //             produce identical bytes even though the store mutates.
 //   params  — Light, cacheable + model_scoped: the platform's last
-//             PUBLISHED estimates with RLS confidence intervals.
-//             Deliberately reads the snapshot, not the live filter:
-//             the reply is a pure function of (request, epoch), which
-//             is what lets the generation-tagged cache serve it.
+//             PUBLISHED machine and its fit statistics. Deliberately
+//             reads the snapshot, not the live window: the reply is a
+//             pure function of (request, epoch), which is what lets the
+//             generation-tagged cache serve it.
 //   refit   — Heavy, NOT cacheable: force a synchronous re-solve +
 //             publish. The archetypal heavy mutation — it runs the full
 //             §V pipeline on the calling worker.
@@ -62,17 +62,6 @@ void add_machine(Json& out, const core::MachineParams& m) {
   out.set("machine", std::move(machine));
 }
 
-/// One linear-parameter row: point estimate, standard error, and the
-/// 95% normal interval from the RLS covariance.
-Json estimate_row(double value, double se) {
-  Json row = Json::object();
-  row.set("value", value);
-  row.set("stderr", se);
-  row.set("ci95_lo", value - 1.96 * se);
-  row.set("ci95_hi", value + 1.96 * se);
-  return row;
-}
-
 Json do_observe(const EndpointContext& ctx) {
   OnlineStore& store = require_store(ctx);
   // Ingest hot path: resolve the platform name ONCE, to a store handle.
@@ -122,14 +111,6 @@ Json do_params(const EndpointContext& ctx) {
   out.set("epoch", snap->epoch);
   out.set("observations", snap->observations);
   add_machine(out, snap->machine);
-  Json rls = Json::object();
-  rls.set("eps_flop", estimate_row(snap->rls.eps_flop,
-                                   snap->rls.se_eps_flop));
-  rls.set("eps_mem", estimate_row(snap->rls.eps_mem, snap->rls.se_eps_mem));
-  rls.set("pi1", estimate_row(snap->rls.pi1, snap->rls.se_pi1));
-  rls.set("effective_count", snap->rls.effective_count);
-  out.set("rls", std::move(rls));
-  out.set("resolved", snap->resolved);
   out.set("rss", snap->rss);
   out.set("r_squared_perf", snap->r_squared);
   out.set("converged", snap->converged);

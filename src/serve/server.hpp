@@ -94,8 +94,8 @@ struct ServerOptions {
   /// uptime assertions are exact instead of sleep-calibrated.
   const sim::ClockSource* clock = nullptr;
   ProtocolLimits limits;
-  /// Online-fitting knobs (RLS forgetting factor, observation window,
-  /// re-solve budgets) for the server-owned OnlineStore.
+  /// Online-fitting knobs (observation window, re-solve budgets) for
+  /// the server-owned OnlineStore.
   fit::online::OnlineFitOptions online;
   /// Background re-solve sweep period for platforms with unresolved
   /// observations. 0 (the default) disables the resolver thread:

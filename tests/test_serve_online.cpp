@@ -148,13 +148,9 @@ TEST(ServeOnline, ParamsLifecycleAndValidation) {
   // Table I spec.
   const double eps_flop = machine->number_or("eps_flop", 0.0);
   EXPECT_LT(std::abs(eps_flop - kEpsFlop) / kEpsFlop, 0.10) << eps_flop;
-  const Json* rls = fitted.find("rls");
-  ASSERT_NE(rls, nullptr);
-  const Json* row = rls->find("eps_flop");
-  ASSERT_NE(row, nullptr);
-  // CI bounds must bracket the point estimate.
-  EXPECT_LE(row->number_or("ci95_lo", 1e300), row->number_or("value", 0.0));
-  EXPECT_GE(row->number_or("ci95_hi", -1e300), row->number_or("value", 0.0));
+  // One estimator: the reply carries its machine and fit statistics only.
+  EXPECT_EQ(fitted.find("rls"), nullptr);
+  EXPECT_TRUE(fitted.bool_or("converged", false));
 
   // Error shapes (full matrix golden-pinned; spot-check the codes here).
   EXPECT_EQ(Json::parse(server.handle_now(
@@ -236,16 +232,14 @@ TEST(ServeOnline, StreamingThousandTuplesWithBackgroundResolver) {
   opt.nm_evaluations = options.online.nm_evaluations;
   opt.lm_iterations = options.online.lm_iterations;
   const fitns::FitResult offline = fitns::fit_observations(obs, opt);
-  // Same solver, same window, same budget: the time-side constants the
-  // snapshot takes from the re-solve must match the offline run almost
-  // exactly; the RLS-blended energy constants within a loose band.
-  EXPECT_NEAR(snap->machine.tau_flop, offline.machine.tau_flop,
-              1e-6 * std::abs(offline.machine.tau_flop));
-  EXPECT_NEAR(snap->machine.tau_mem, offline.machine.tau_mem,
-              1e-6 * std::abs(offline.machine.tau_mem));
-  EXPECT_LT(std::abs(snap->machine.eps_flop - offline.machine.eps_flop) /
-                offline.machine.eps_flop,
-            0.30);
+  // Same solver, same window, same budget: the snapshot publishes the
+  // offline run's machine exactly.
+  EXPECT_EQ(snap->machine.tau_flop, offline.machine.tau_flop);
+  EXPECT_EQ(snap->machine.eps_flop, offline.machine.eps_flop);
+  EXPECT_EQ(snap->machine.tau_mem, offline.machine.tau_mem);
+  EXPECT_EQ(snap->machine.eps_mem, offline.machine.eps_mem);
+  EXPECT_EQ(snap->machine.pi1, offline.machine.pi1);
+  EXPECT_EQ(snap->machine.delta_pi, offline.machine.delta_pi);
   // And both near the generator truth.
   EXPECT_LT(std::abs(snap->machine.eps_flop - kEpsFlop) / kEpsFlop, 0.10);
   EXPECT_LT(std::abs(snap->machine.pi1 - kPi1) / kPi1, 0.10);

@@ -13,8 +13,7 @@
 //                    [--cache N] [--cache-shards N] [--max-conns N]
 //                    [--idle-timeout-ms N] [--drain-grace-ms N]
 //                    [--deadline-ms N] [--heavy-deadline-ms N]
-//                    [--refit-interval-ms N] [--forgetting-factor F]
-//                    [--stdio]
+//                    [--refit-interval-ms N] [--stdio]
 //
 // --shards N runs N thread-per-core event-loop shards, each with its
 // own SO_REUSEPORT listener (or a round-robin fd handoff from shard 0
@@ -27,12 +26,11 @@
 //
 // Online fitting (docs/MODEL.md "Online fitting"): the "observe"
 // endpoint streams measured (flops, bytes, seconds, joules) tuples into
-// a per-platform RLS filter. --refit-interval-ms N starts a background
-// thread that re-solves the full capped model every N ms for platforms
-// with fresh observations (0 = re-solve only on explicit "refit"
-// requests — the default, which keeps --stdio replay deterministic).
-// --forgetting-factor sets the RLS decay in (0, 1]: lower values track
-// drifting hardware faster at the cost of wider confidence intervals.
+// a bounded per-platform window. --refit-interval-ms N starts a
+// background thread that re-solves the full capped model over that
+// window every N ms for platforms with fresh observations (0 = re-solve
+// only on explicit "refit" requests — the default, which keeps --stdio
+// replay deterministic).
 //
 // Transports:
 //   default   TCP listener on --bind:--port (port 0 = ephemeral,
@@ -79,7 +77,7 @@ void on_usr1(int) { g_dump_stats = 1; }
       "          [--idle-timeout-ms N] [--drain-grace-ms N]\n"
       "          [--deadline-ms N]\n"
       "          [--heavy-deadline-ms N] [--refit-interval-ms N]\n"
-      "          [--forgetting-factor F] [--stdio] [--serial] [--quiet]\n",
+      "          [--stdio] [--serial] [--quiet]\n",
       argv0);
   std::exit(code);
 }
@@ -88,16 +86,6 @@ long parse_long(const char* argv0, const char* flag, const char* value) {
   char* end = nullptr;
   const long v = std::strtol(value, &end, 10);
   if (!end || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "%s: bad value for %s: %s\n", argv0, flag, value);
-    usage(argv0, 2);
-  }
-  return v;
-}
-
-double parse_double(const char* argv0, const char* flag, const char* value) {
-  char* end = nullptr;
-  const double v = std::strtod(value, &end);
-  if (!end || *end != '\0') {
     std::fprintf(stderr, "%s: bad value for %s: %s\n", argv0, flag, value);
     usage(argv0, 2);
   }
@@ -169,16 +157,7 @@ int main(int argc, char** argv) {
     else if (arg == "--refit-interval-ms")
       options.refit_interval_ms = static_cast<int>(
           parse_long(argv[0], "--refit-interval-ms", value()));
-    else if (arg == "--forgetting-factor") {
-      const double f =
-          parse_double(argv[0], "--forgetting-factor", value());
-      if (!(f > 0.0) || f > 1.0) {
-        std::fprintf(stderr,
-                     "%s: --forgetting-factor must be in (0, 1]\n", argv[0]);
-        usage(argv[0], 2);
-      }
-      options.online.forgetting = f;
-    } else if (arg == "--stdio")
+    else if (arg == "--stdio")
       stdio_mode = true;
     else if (arg == "--serial")
       serial = true;
