@@ -27,9 +27,6 @@
 //   predict_no_flood         closed-loop predict latency, idle server
 //   heavy_starvation         same, under a sustained fit flood (lanes ON):
 //                            the per-class isolation claim, measured
-//   heavy_starvation_unified same flood with the heavy lane disabled —
-//                            the pre-lane single-queue behavior, kept as
-//                            the A/B baseline showing what lanes buy
 //   observe_ingest_1t        "observe" with an 8-tuple batch: parse +
 //                            ring-buffer write, never cached — the
 //                            streaming ingest cost
@@ -341,17 +338,11 @@ ScenarioResult bench_queue_spsc(const Config& cfg, const char* name,
 /// Closed-loop predict latency through the full submit -> lane -> worker
 /// -> done path (cache warmed, so queueing dominates), optionally under
 /// a sustained fit flood that keeps up to 32 Heavy requests in flight.
-/// `heavy_lane_capacity` 0 reproduces the unified single-queue baseline:
-/// the flood and the predicts then share one lane and each predict waits
-/// behind the whole Heavy backlog.
 ScenarioResult bench_predict_latency(const char* name, const Config& cfg,
                                      const std::vector<std::string>& pool,
-                                     int threads,
-                                     std::size_t heavy_lane_capacity,
-                                     bool flood) {
+                                     int threads, bool flood) {
   serve::ServerOptions opt;
   opt.threads = threads;
-  opt.heavy_lane_capacity = heavy_lane_capacity;
   serve::Server server(opt);
   server.start();
   for (const std::string& line : pool) (void)server.handle_now(line);  // warm
@@ -614,15 +605,13 @@ int main(int argc, char** argv) {
   results.push_back(bench_json_parse_insitu_1t(cfg, pool));
   results.push_back(bench_queue_spsc(cfg, "queue_spsc", 1));
   results.push_back(bench_queue_spsc(cfg, "queue_spsc_batch", 64));
-  // The heavy-starvation triple: baseline latency, latency under a fit
-  // flood with lanes, and the same flood through a single shared lane.
-  // heavy_starvation/predict_no_flood p99 is the isolation headline.
+  // The heavy-starvation pair: baseline latency, and latency under a fit
+  // flood. heavy_starvation/predict_no_flood p99 is the isolation
+  // headline.
   results.push_back(bench_predict_latency("predict_no_flood", cfg, pool,
-                                          threads, 64, false));
+                                          threads, false));
   results.push_back(bench_predict_latency("heavy_starvation", cfg, pool,
-                                          threads, 64, true));
-  results.push_back(bench_predict_latency("heavy_starvation_unified", cfg,
-                                          pool, threads, 0, true));
+                                          threads, true));
   // The policy engine's endpoint: steady-state (cached) probe cost and
   // the full ladder-sweep miss cost.
   const auto policies = sim::make_policy_pool();

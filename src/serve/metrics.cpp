@@ -164,6 +164,11 @@ void Metrics::on_shard_cached(std::size_t shard) noexcept {
   transport_shard(shard).cached_inline.fetch_add(1, std::memory_order_relaxed);
 }
 
+void Metrics::on_shard_inline(std::size_t shard) noexcept {
+  transport_shard(shard).executed_inline.fetch_add(1,
+                                                   std::memory_order_relaxed);
+}
+
 void Metrics::on_lane_depth(std::size_t lane, std::size_t depth) noexcept {
   lane_depth_[lane].store(depth, std::memory_order_relaxed);
   std::uint64_t peak = lane_peak_[lane].load(std::memory_order_relaxed);
@@ -212,6 +217,8 @@ Metrics::Snapshot Metrics::snapshot() const noexcept {
     row.idle_closed = t.idle_closed.load(std::memory_order_relaxed);
     row.requests = t.requests.load(std::memory_order_relaxed);
     row.cached_inline = t.cached_inline.load(std::memory_order_relaxed);
+    row.executed_inline = t.executed_inline.load(std::memory_order_relaxed);
+    s.executed_inline += row.executed_inline;
     s.connections_open += row.open;
     s.connections_accepted += row.accepted;
     s.connections_rejected += row.rejected;
@@ -320,9 +327,11 @@ std::string Metrics::to_json(
       shard.set("idle_closed", row.idle_closed);
       shard.set("requests", row.requests);
       shard.set("cached_inline", row.cached_inline);
+      shard.set("executed_inline", row.executed_inline);
       shards.push_back(std::move(shard));
     }
     conns.set("shards", std::move(shards));
+    conns.set("executed_inline", s.executed_inline);
   }
   out.set("connections", std::move(conns));
   return out.dump();
@@ -405,17 +414,25 @@ std::string Metrics::summary(
                 static_cast<unsigned long long>(s.connections_rejected),
                 static_cast<unsigned long long>(s.connections_idle_closed));
   out += buf;
+  if (s.transport_shards > 0) {
+    std::snprintf(buf, sizeof buf,
+                  "inline       %llu executed on the shards (missed, no "
+                  "idle worker)\n",
+                  static_cast<unsigned long long>(s.executed_inline));
+    out += buf;
+  }
   if (s.transport_shards > 1) {
     for (std::size_t i = 0; i < s.transport_shards; ++i) {
       const Snapshot::TransportShardSnapshot& row = s.shards[i];
       std::snprintf(
           buf, sizeof buf,
           "  shard %-2zu    %llu open, %llu accepted, %llu requests, "
-          "%llu cached-inline\n",
+          "%llu cached-inline, %llu executed-inline\n",
           i, static_cast<unsigned long long>(row.open),
           static_cast<unsigned long long>(row.accepted),
           static_cast<unsigned long long>(row.requests),
-          static_cast<unsigned long long>(row.cached_inline));
+          static_cast<unsigned long long>(row.cached_inline),
+          static_cast<unsigned long long>(row.executed_inline));
       out += buf;
     }
   }

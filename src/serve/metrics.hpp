@@ -121,6 +121,9 @@ class Metrics {
   /// A request a shard answered inline from its cache partition —
   /// never touched the worker pool or another core.
   void on_shard_cached(std::size_t shard) noexcept;
+  /// A cache miss a shard evaluated on its own thread because no worker
+  /// was idle (Server::try_run_inline) — it never entered a lane.
+  void on_shard_inline(std::size_t shard) noexcept;
 
   struct LaneSnapshot {
     std::uint64_t rejected = 0;           ///< overload rejections
@@ -153,9 +156,11 @@ class Metrics {
       std::uint64_t idle_closed = 0;
       std::uint64_t requests = 0;       ///< lines admitted by this shard
       std::uint64_t cached_inline = 0;  ///< answered from the partition
+      std::uint64_t executed_inline = 0;  ///< missed, run on the shard
     };
     std::size_t transport_shards = 0;  ///< 0 = no sharded transport
     std::array<TransportShardSnapshot, kMaxTransportShards> shards{};
+    std::uint64_t executed_inline = 0;  ///< sum over shards
     double uptime_s = 0.0;
     double qps = 0.0;                   ///< completed / uptime
     LatencyHistogram::Snapshot latency;  ///< all classes merged
@@ -216,6 +221,7 @@ class Metrics {
     std::atomic<std::uint64_t> idle_closed{0};
     std::atomic<std::uint64_t> requests{0};
     std::atomic<std::uint64_t> cached_inline{0};
+    std::atomic<std::uint64_t> executed_inline{0};
   };
   [[nodiscard]] TransportShard& transport_shard(std::size_t shard) noexcept {
     return transport_shards_counters_[shard < kMaxTransportShards

@@ -26,14 +26,14 @@ int resolve_threads(int requested) {
 }
 
 /// Heavy-capable worker count: explicit request clamped to the pool, or
-/// a quarter of the pool (min 1) by default. With the heavy lane
-/// disabled nobody needs heavy capability, so all workers go light-only
-/// plus one all-lanes sweeper (harmless: the heavy lane stays empty).
-int resolve_heavy_workers(int requested, int threads,
-                          std::size_t heavy_capacity) {
-  if (heavy_capacity == 0) return 1;
+/// a quarter of the pool (min 1) by default.
+int resolve_heavy_workers(int requested, int threads) {
   if (requested > 0) return std::min(requested, threads);
   return std::max(1, threads / 4);
+}
+
+std::size_t lane_for(std::string_view line) noexcept {
+  return classify_line(line) == RequestClass::Heavy ? kHeavyLane : kLightLane;
 }
 
 }  // namespace
@@ -43,16 +43,13 @@ Server::Server(ServerOptions options)
       clock_(options.clock ? options.clock : &sim::real_clock()),
       cache_(options.cache_capacity, options.cache_shards),
       metrics_(options.clock),
-      // Heavy lane disabled (capacity 0) => Heavy requests are routed to
-      // the light lane by lane_for(), restoring the unified single-queue
-      // behavior — the A/B baseline for the starvation benchmark.
       queue_(std::array<LaneConfig, kLaneCount>{
           LaneConfig{options.queue_capacity, kLightWeight},
           LaneConfig{options.heavy_lane_capacity, kHeavyWeight}}),
       online_(options.online) {
   options_.threads = resolve_threads(options_.threads);
-  options_.heavy_workers = resolve_heavy_workers(
-      options_.heavy_workers, options_.threads, options_.heavy_lane_capacity);
+  options_.heavy_workers =
+      resolve_heavy_workers(options_.heavy_workers, options_.threads);
 }
 
 Server::~Server() { shutdown(); }
@@ -64,6 +61,9 @@ void Server::start() {
   // again and fresh workers block in pop_n() instead of exiting at once.
   queue_.reopen();
   workers_.reserve(static_cast<std::size_t>(options_.threads));
+  // Counted idle before they exist: a worker is idle until it holds a
+  // batch, so try_run_inline() sees a deterministic count from here on.
+  idle_workers_.store(options_.threads, std::memory_order_relaxed);
   // The first heavy_workers threads drain both lanes with weighted
   // round-robin; the rest are light-only, so Heavy execution concurrency
   // is capped and a fit flood can never occupy the whole pool.
@@ -79,25 +79,13 @@ void Server::start() {
   running_.store(true, std::memory_order_release);
 }
 
-std::size_t Server::lane_for(std::string_view line) const noexcept {
-  if (options_.heavy_lane_capacity == 0) return kLightLane;
-  return classify_line(line) == RequestClass::Heavy ? kHeavyLane : kLightLane;
-}
-
 bool Server::submit(std::string line, Done done) {
-  const std::size_t lane = lane_for(line);
-  const int deadline_ms = lane == kHeavyLane && options_.heavy_deadline_ms > 0
-                              ? options_.heavy_deadline_ms
-                              : options_.request_deadline_ms;
-  const auto deadline =
-      deadline_ms > 0 ? clock_->now() + std::chrono::milliseconds(deadline_ms)
-                      : Clock::time_point::max();
-  return submit_to_lane(std::move(line), std::move(done), deadline, lane);
+  return submit(std::move(line), std::move(done), nullptr, false);
 }
 
 bool Server::submit(std::string line, Done done, Clock::time_point deadline) {
-  return submit_to_lane(std::move(line), std::move(done), deadline,
-                        lane_for(line));
+  const std::size_t lane = lane_for(line);
+  return submit_to_lane(std::move(line), std::move(done), deadline, lane);
 }
 
 bool Server::submit(std::string line, Done done,
@@ -120,11 +108,8 @@ bool Server::submit_to_lane(std::string line, Done done,
                             bool cache_prechecked) {
   // `admitted` anchors queue-inclusive latency; like handle_into, it is
   // only stamped for requests whose latency is sampled.
-  Job job{std::move(line), std::move(done),
-          metrics_.sample_latency_now()
-              ? clock_->now()
-              : std::chrono::steady_clock::time_point{},
-          deadline, lane, std::move(cache), cache_prechecked};
+  Job job{std::move(line), std::move(done), sampled_start(), deadline, lane,
+          std::move(cache), cache_prechecked};
   std::size_t depth = 0;
   if (!queue_.try_push(lane, std::move(job), &depth)) {
     metrics_.on_rejected(lane);
@@ -132,6 +117,11 @@ bool Server::submit_to_lane(std::string line, Done done,
   }
   metrics_.on_lane_depth(lane, depth);
   return true;
+}
+
+std::chrono::steady_clock::time_point Server::sampled_start() {
+  return metrics_.sample_latency_now() ? clock_->now()
+                                       : std::chrono::steady_clock::time_point{};
 }
 
 std::string Server::handle_now(std::string_view line) {
@@ -148,20 +138,29 @@ void Server::handle_into(std::string_view line, std::string& out) {
   // time_point = unsampled).
   Reply reply;
   reply.body.swap(out);
-  const auto started = metrics_.sample_latency_now()
-                           ? clock_->now()
-                           : std::chrono::steady_clock::time_point{};
-  execute_into(line, started, reply);
+  execute_into(line, sampled_start(), reply);
   out.swap(reply.body);
+}
+
+bool Server::try_run_inline(std::string_view line, ShardedLruCache* cache,
+                            std::string& out) {
+  // The idle count is read first: it is one relaxed load, and while a
+  // worker waits the request goes to the pool without being classified.
+  if (idle_workers() > 0 || classify_line(line) != RequestClass::Light)
+    return false;
+  Reply reply;
+  reply.body.swap(out);
+  execute_into(line, sampled_start(), reply, cache ? *cache : cache_,
+               /*skip_probe=*/cache != nullptr);
+  out.swap(reply.body);
+  return true;
 }
 
 bool Server::try_serve_cached(std::string_view line, ShardedLruCache& cache,
                               std::string& out) {
   const std::string_view key = trim(line);
   if (key.empty()) return false;
-  const auto started = metrics_.sample_latency_now()
-                           ? clock_->now()
-                           : std::chrono::steady_clock::time_point{};
+  const auto started = sampled_start();
   const std::uint64_t generation = online_.generation();
   out.clear();
   std::uint8_t tag = 0;
@@ -287,11 +286,13 @@ void Server::worker_loop(LaneMask mask) {
   for (;;) {
     batch.clear();
     if (queue_.pop_n(mask, batch, kWorkerBatch, &depths) == 0) break;
+    idle_workers_.fetch_sub(1, std::memory_order_relaxed);
     // One gauge update per lane per batch, using the depths pop_n
     // already observed — no extra lock crossings just to read sizes.
     for (std::size_t lane = 0; lane < kLaneCount; ++lane)
       if (mask & lane_bit(lane)) metrics_.on_lane_depth(lane, depths[lane]);
     for (Job& job : batch) run_job(job, scratch);
+    idle_workers_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -307,6 +308,7 @@ void Server::shutdown() {
   for (std::thread& t : workers_)
     if (t.joinable()) t.join();
   workers_.clear();
+  idle_workers_.store(0, std::memory_order_relaxed);
   // If shutdown raced start (or start was never called), drain whatever
   // was admitted on this thread so every submit()'s done still fires.
   Reply scratch;

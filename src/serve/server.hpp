@@ -16,6 +16,13 @@
 // threads; OrderedWriter (below) restores per-connection FIFO order
 // when requests from one connection complete out of order.
 //
+// Caller-runs: a TCP shard whose cache probe missed asks
+// try_run_inline() first. When no worker is idle and the request is
+// Light, it is evaluated on the shard's own thread (a closed-form
+// predict costs about as much as the queue hop it would otherwise pay);
+// Heavy requests, and Light ones that meet an idle worker, are
+// submitted to the pool as before.
+//
 // Class isolation: requests are classified at admission (a registry
 // scan of the raw line — no parse) and queued per class. The heavy lane
 // is small and separately bounded, so a flood of multi-millisecond
@@ -72,12 +79,12 @@ struct ServerOptions {
   /// Heavy-lane capacity. Deliberately much smaller than the light
   /// lane: a heavy request is worth milliseconds of worker time, so a
   /// short queue keeps the backlog (and thus heavy queue latency)
-  /// bounded. 0 disables the lane — heavy requests then share the
-  /// light lane (the pre-lane behavior, useful for A/B benchmarks).
+  /// bounded. 0 admits no Heavy request at all (each is answered
+  /// "overloaded"); the daemon rejects it as a flag value.
   std::size_t heavy_lane_capacity = 64;
   /// Workers allowed to execute Heavy requests; 0 means max(1,
-  /// threads/4). Clamped to [1, threads] when the heavy lane is
-  /// enabled. The remaining workers are light-only.
+  /// threads/4). Clamped to [1, threads]. The remaining workers are
+  /// light-only.
   int heavy_workers = 0;
   /// Response cache entries across all shards; 0 disables caching.
   std::size_t cache_capacity = 1 << 16;
@@ -85,7 +92,8 @@ struct ServerOptions {
   /// Default per-request deadline applied at submit (Light lane, and
   /// Heavy too unless heavy_deadline_ms overrides): a job still queued
   /// this long after admission is answered with deadline_exceeded_body()
-  /// instead of occupying a worker. 0 disables deadlines.
+  /// instead of occupying a worker. 0 disables deadlines. Work run by
+  /// try_run_inline() never queues, so no deadline applies to it.
   int request_deadline_ms = 0;
   /// Heavy-lane deadline override; 0 falls back to request_deadline_ms.
   int heavy_deadline_ms = 0;
@@ -142,8 +150,7 @@ class Server {
   [[nodiscard]] bool submit(std::string line, Done done);
 
   /// Same, with an explicit absolute deadline (Clock::time_point::max()
-  /// = no deadline). The transport uses this to thread per-request
-  /// deadlines through the queue.
+  /// = no deadline) instead of the lane's default.
   [[nodiscard]] bool submit(std::string line, Done done,
                             Clock::time_point deadline);
 
@@ -168,6 +175,25 @@ class Server {
   [[nodiscard]] bool try_serve_cached(std::string_view line,
                                       ShardedLruCache& cache,
                                       std::string& out);
+
+  /// Loop-thread execution of a request whose cache probe missed, for
+  /// when the pool is saturated: if no worker is idle and `line`
+  /// classifies Light, evaluates it on the calling thread exactly as a
+  /// worker would and renders the body into `out` (capacity reused).
+  /// `cache` has submit()'s meaning: null = the server cache, probed
+  /// first; otherwise the caller already probed (and miss-counted) that
+  /// partition, which still takes the miss-fill. Returns false, having
+  /// done nothing, when a worker is idle or the request is Heavy: the
+  /// caller then submits it.
+  [[nodiscard]] bool try_run_inline(std::string_view line,
+                                    ShardedLruCache* cache, std::string& out);
+
+  /// Workers currently waiting in the scheduler for a batch. Every
+  /// worker counts as idle from start() until it holds a batch, so the
+  /// count is exact before any traffic; 0 while the server is stopped.
+  [[nodiscard]] int idle_workers() const noexcept {
+    return idle_workers_.load(std::memory_order_relaxed);
+  }
 
   /// Registers / unregisters a transport-owned cache partition so
   /// cache_stats() and the "stats" endpoint aggregate it. The registry
@@ -252,16 +278,16 @@ class Server {
   /// runs deep.
   static constexpr std::size_t kWorkerBatch = 16;
 
-  /// The lane a request line is admitted to (classify_line + the
-  /// heavy-lane-disabled fallback).
-  [[nodiscard]] std::size_t lane_for(std::string_view line) const noexcept;
-
   /// Shared tail of the submit overloads once the lane and deadline
   /// are settled.
   [[nodiscard]] bool submit_to_lane(
       std::string line, Done done, Clock::time_point deadline,
       std::size_t lane, std::shared_ptr<ShardedLruCache> cache = nullptr,
       bool cache_prechecked = false);
+
+  /// The start stamp of a request whose latency is sampled (see
+  /// Metrics::sample_latency_now); default-constructed = unsampled.
+  [[nodiscard]] std::chrono::steady_clock::time_point sampled_start();
 
   /// Cache + registry execution shared by workers and handle_now /
   /// handle_into. The response is rendered into reply.body (capacity
@@ -301,6 +327,8 @@ class Server {
   /// reference into it).
   std::unique_ptr<fit::online::BackgroundResolver> resolver_;
   std::vector<std::thread> workers_;
+  /// Workers inside pop_n (see idle_workers()).
+  std::atomic<int> idle_workers_{0};
   std::atomic<bool> running_{false};
   std::mutex lifecycle_mutex_;  ///< serializes start/shutdown
 };

@@ -121,7 +121,7 @@ struct HandoffQueue {
 /// outbound buffers have drained.
 ///
 /// Outbound data lives in two places, always sent in this order:
-///   * `out`    — partially-sent residue and copied inline-hit frames
+///   * `out`    — partially-sent residue and copied loop-thread frames
 ///                (cursor buffer: consuming sent bytes is O(1));
 ///   * `pending`— whole reply bodies not yet touched by sendv(), moved
 ///                in from workers with zero copies; flush() gathers
@@ -291,11 +291,19 @@ class ShardLoop {
     c.pending.push_back(std::move(body));
   }
 
-  /// An inline cache hit: the body lives in the loop's reusable scratch
-  /// buffer, so it is copied out — into `out` when FIFO allows (its
-  /// capacity is reused across hits; zero allocations steady-state),
-  /// else into pending.
-  void frame_copy(Conn& c, const std::string& body) {
+  /// A reply produced on the loop thread (a cache hit or an inline
+  /// execution): the body lives in the loop's reusable scratch buffer,
+  /// so it is copied out. With nothing in flight it goes straight into
+  /// `out` (capacity reused; zero allocations steady-state); otherwise
+  /// it is sequenced through the OrderedWriter behind the in-flight
+  /// responses, which keeps FIFO order.
+  void frame_inline(Conn& c, const std::string& body) {
+    const bool in_order = c.submitted == c.written;
+    ++c.submitted;
+    if (!in_order) {
+      c.writer->complete(c.writer->next_sequence(), std::string(body));
+      return;
+    }
     ++c.written;
     if (c.pending_next == c.pending.size()) {
       c.pending.clear();
@@ -310,26 +318,19 @@ class ShardLoop {
   void submit_line(Conn& c, std::string_view line) {
     if (line.empty() || line == "\r") return;
     metrics_.on_shard_request(shard_);
-    if (cache_) {
-      // Shard-local cache probe on the loop thread: a hit never
-      // touches the worker pool or another core. FIFO safety: with
-      // nothing in flight the reply is framed directly; otherwise it
-      // is sequenced through the OrderedWriter behind the in-flight
-      // responses.
-      const bool in_order = c.submitted == c.written;
-      if (server_.try_serve_cached(line, *cache_, scratch_)) {
-        metrics_.on_shard_cached(shard_);
-        ++c.submitted;
-        if (in_order) {
-          frame_copy(c, scratch_);
-        } else {
-          const std::uint64_t seq = c.writer->next_sequence();
-          c.writer->complete(seq, std::string(scratch_));
-        }
-        return;
-      }
-      // Probe missed (and was counted); the worker skips the re-probe
-      // and its miss-fill lands in this shard's partition.
+    // Shard-local cache probe on the loop thread: a hit never touches
+    // the worker pool or another core. A miss (counted) is evaluated
+    // here too when no worker is idle and it is Light; its miss-fill
+    // lands in this shard's partition either way.
+    if (cache_ && server_.try_serve_cached(line, *cache_, scratch_)) {
+      metrics_.on_shard_cached(shard_);
+      frame_inline(c, scratch_);
+      return;
+    }
+    if (server_.try_run_inline(line, cache_.get(), scratch_)) {
+      metrics_.on_shard_inline(shard_);
+      frame_inline(c, scratch_);
+      return;
     }
     const std::uint64_t seq = c.writer->next_sequence();
     ++c.submitted;
@@ -515,7 +516,7 @@ class ShardLoop {
   std::uint64_t next_target_ = 0;
   bool stopping_ = false;
   Clock::time_point stop_at_{};
-  std::string scratch_;  ///< inline cache-hit reply buffer (reused)
+  std::string scratch_;  ///< loop-thread reply buffer (reused)
   std::vector<std::pair<std::uint64_t, std::string>> ready_;
   std::vector<std::uint64_t> touched_;
   std::vector<int> handed_;

@@ -4,8 +4,10 @@
 // load-balances accepts by 4-tuple hash), its connection table, its
 // completion eventfd, a partition of the response cache served inline
 // from the loop thread, and a Metrics stripe — so the steady-state
-// cached-hit path never crosses a core boundary. Only heavy-lane /
-// miss traffic is handed to the shared worker pool through the
+// cached-hit path never crosses a core boundary. A Light miss is
+// evaluated on the loop thread too when no worker is idle
+// (Server::try_run_inline); Heavy work, and Light work that meets an
+// idle worker, is handed to the shared worker pool through the
 // LaneScheduler. Where SO_REUSEPORT is unavailable (or disabled for
 // deterministic placement in tests), shard 0 accepts and round-robins
 // fds to its peers over eventfd-signalled handoff queues.
@@ -22,8 +24,9 @@
 //     canned "overloaded" error and closes immediately;
 //   * a connection idle longer than `idle_timeout_ms` with no pending
 //     work is closed by its shard;
-//   * requests inherit the Server's per-request deadline, so a job that
-//     out-waits the queue is answered with "deadline_exceeded";
+//   * queued requests inherit the Server's per-request deadline, so a
+//     job that out-waits the queue is answered with "deadline_exceeded"
+//     (work run on the loop thread never queues and has no deadline);
 //   * on peer half-close (EOF with buffered bytes), the final
 //     un-terminated line is still processed and answered before the
 //     connection closes.

@@ -357,20 +357,6 @@ TEST(ServeServer, HeavyLaneFullStillAdmitsLightRequests) {
   EXPECT_EQ(completed.load(), 6);
 }
 
-TEST(ServeServer, DisabledHeavyLaneRoutesEverythingLight) {
-  ServerOptions options = small_options();
-  options.heavy_lane_capacity = 0;  // pre-lane unified behavior
-  Server server(options);
-  std::atomic<int> completed{0};
-  ASSERT_TRUE(server.submit(fit_request(0),
-                            [&](std::string&&) { completed.fetch_add(1); }));
-  const auto snap = server.metrics().snapshot();
-  EXPECT_EQ(snap.lanes[kLightLane].depth, 1u);
-  EXPECT_EQ(snap.lanes[kHeavyLane].depth, 0u);
-  server.shutdown();
-  EXPECT_EQ(completed.load(), 1);
-}
-
 TEST(ServeServer, HeavyDeadlineOverridesDefault) {
   // Heavy deadline 1 ms, light deadline none: advance sim time past the
   // heavy deadline and the queued fit expires while the queued predict

@@ -48,6 +48,7 @@
 //                   queue, print a metrics summary, exit 0
 //   SIGUSR1         dump the metrics summary to stderr, keep serving
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -60,11 +61,15 @@
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
-volatile std::sig_atomic_t g_dump_stats = 0;
+// Set by the signal handlers and read by the watcher thread, so they
+// must be atomics (volatile orders nothing between threads); lock-free
+// atomics are also safe to touch from a signal handler.
+std::atomic<bool> g_stop{false};
+std::atomic<bool> g_dump_stats{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-void on_terminate(int) { g_stop = 1; }
-void on_usr1(int) { g_dump_stats = 1; }
+void on_terminate(int) { g_stop.store(true); }
+void on_usr1(int) { g_dump_stats.store(true); }
 
 [[noreturn]] void usage(const char* argv0, int code) {
   std::fprintf(
@@ -120,9 +125,16 @@ int main(int argc, char** argv) {
     else if (arg == "--queue")
       options.queue_capacity = static_cast<std::size_t>(
           parse_long(argv[0], "--queue", value()));
-    else if (arg == "--heavy-lane-capacity")
+    else if (arg == "--heavy-lane-capacity") {
       options.heavy_lane_capacity = static_cast<std::size_t>(
           parse_long(argv[0], "--heavy-lane-capacity", value()));
+      if (options.heavy_lane_capacity == 0) {
+        std::fprintf(stderr,
+                     "%s: --heavy-lane-capacity must be at least 1\n",
+                     argv[0]);
+        usage(argv[0], 2);
+      }
+    }
     else if (arg == "--heavy-workers")
       options.heavy_workers = static_cast<int>(
           parse_long(argv[0], "--heavy-workers", value()));
@@ -225,8 +237,7 @@ int main(int argc, char** argv) {
   std::atomic<bool> stop{false};
   std::thread signal_watcher([&] {
     while (!g_stop) {
-      if (g_dump_stats) {
-        g_dump_stats = 0;
+      if (g_dump_stats.exchange(false)) {
         std::fprintf(stderr, "%s\n", server.stats_text().c_str());
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
